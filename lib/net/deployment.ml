@@ -400,7 +400,7 @@ let arm_brownout t ~dst ?slow ~rounds () =
 let kill t ~dst =
   kill_only t ~dst;
   (* The detection + reboot outage of the cost model, in wall-clock terms —
-     the same constant the threaded actor runtime sleeps (Config.real_restart_delay). *)
+     the same constant a daemon's soft crash sleeps (Config.real_restart_delay). *)
   Thread.delay (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
   respawn t ~dst
 

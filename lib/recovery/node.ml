@@ -116,30 +116,38 @@ type ('state, 'msg) ckpt = {
          is absorbed into a checkpoint). *)
 }
 
-(* --- Partitioned (fast) recovery ----------------------------------- *)
+(* --- The replay engine (Restart, fast restart, Rollback) ------------ *)
 
-(* One logged delivery awaiting partitioned replay.  The metadata pass of
-   [restart_begin] walks the log serially {e without} running the
-   application, so it can pre-compute per-record context: the interval the
-   replay must land on and the dependency-vector snapshot the record's
-   regenerated effects must carry.  Replaying records of different
-   partitions in any order then yields the serial result, because
-   cross-partition handlers commute (the {!App_intf.partitioning}
-   contract). *)
+(* One logged delivery awaiting re-execution.  The replay walk
+   ({!replay_walk}) evolves the interval and vector over the log without
+   running the application, so each item carries the context its
+   re-execution must use: the interval the replay lands on and the
+   dependency-vector snapshot its regenerated effects carry.  That makes
+   the items executable in any order that keeps each partition's log
+   order, because cross-partition handlers commute (the
+   {!App_intf.partitioning} contract); an unpartitioned app is one
+   partition. *)
 type 'msg replay_item = {
   ri_msg : 'msg Wire.app_message;
+  ri_pos : int; (* log position: the default replay pick is log order *)
+  ri_pred : Entry.t; (* interval the delivery started from *)
   ri_interval : Entry.t;
-  ri_tdv : Dep_vector.t; (* vector after this delivery, from the metadata pass *)
-  ri_window : bool; (* the record's [lg_window] flag *)
+  ri_tdv : Dep_vector.t; (* vector after this delivery, Theorem 2 applied *)
+  ri_part : int option; (* [None]: a barrier touching state outside any partition *)
   ri_covered : bool;
       (* a per-partition checkpoint already covers this record: count it
          done without re-executing the handler *)
+  ri_certify : bool;
+      (* the state right after this record, replayed in log order, is the
+         one its live digest was taken on: false for a record delivered
+         inside a recovery window ([lg_window]), whose live digest covers a
+         partially recovered state, and for records behind a restored
+         per-partition checkpoint, where some slice is already ahead *)
 }
 
 (* A barrier-separated stage: the per-partition queues replay in any
-   order/interleaving; the trailing barrier (a record touching state
-   outside any single partition) runs only once every queue has drained,
-   preserving its exact log position relative to both sides. *)
+   order/interleaving; the trailing barrier runs only once every queue has
+   drained, preserving its exact log position relative to both sides. *)
 type 'msg replay_stage = {
   rs_queues : 'msg replay_item Queue.t array; (* one queue per partition *)
   rs_barrier : 'msg replay_item option;
@@ -152,10 +160,7 @@ type 'msg recovery = {
   mutable rc_barriers_pending : int;
   mutable rc_replayed : int; (* records actually re-executed *)
   rc_frontier : 'msg replay_item option;
-      (* last delivery record in the log; its interval is certified
-         against the live digest once replay completes (unless
-         window-marked) *)
-  mutable rc_next : int; (* round-robin cursor over partitions *)
+      (* last delivery record in the log; certified once replay completes *)
   mutable rc_live_delivered : bool;
       (* a fresh (non-replay) message was delivered during the recovery
          window: the state at completion is past the frontier, so the
@@ -222,8 +227,8 @@ type ('state, 'msg) t = {
   mutable ckpt_ops : int;
   mutable actions : 'msg action list; (* reversed accumulator *)
   mutable recovery : 'msg recovery option;
-      (* in-progress partitioned replay; [None] once recovery completes
-         (or for serial restarts).  Volatile: a crash drops it and the
+      (* in-progress background replay; [None] once recovery completes
+         (or after a synchronous restart).  Volatile: a crash drops it and the
          next restart replays from the log again. *)
   part_dirty : int array;
       (* per-partition deliveries since that partition's last incremental
@@ -609,7 +614,7 @@ let rec buffer_output_at t ~now ~interval ~tdv ~idx text =
     (match (proto t).tracking with
     | Config.Direct ->
       let asm = { members = Hashtbl.create 8 } in
-      ignore (assembly_member asm (t.pid, t.current) : member_state);
+      ignore (assembly_member asm (t.pid, interval) : member_state);
       Hashtbl.replace t.assemblies oid asm
     | Config.Transitive -> ());
     trace t ~now (Output_buffered { pid = t.pid; id = oid; text });
@@ -686,7 +691,12 @@ let mark_part_dirty t payload =
     | Some p -> t.part_dirty.(p) <- t.part_dirty.(p) + 1
     | None -> ()
 
-let deliver t ~now ~replay (m : 'msg Wire.app_message) =
+(* Deliver_message's protocol transition (Figure 2): merge the piggybacked
+   vector, start the next interval, apply Theorem 2, and record the direct
+   parents and the delivered identity.  Live delivery and the replay walk
+   share it, so a replay lands on exactly the live interval and vector.
+   Returns the interval the delivery started from. *)
+let start_interval t (m : 'msg Wire.app_message) =
   let pred = t.current in
   ensure_deps t m.dep;
   (match (proto t).tracking with
@@ -705,22 +715,18 @@ let deliver t ~now ~replay (m : 'msg Wire.app_message) =
   Hashtbl.replace t.direct_parents t.current
     ((t.pid, pred) :: (if m.src >= 0 then [ (m.src, m.send_interval) ] else []));
   Hashtbl.replace t.delivered m.id t.current;
-  if replay then t.metrics.replayed <- t.metrics.replayed + 1
-  else begin
-    Store.append_volatile t.store
-      (Delivery
-         {
-           lg_msg = m;
-           lg_interval = t.current;
-           lg_window = t.recovery <> None;
-         });
-    (match t.recovery with
-    | Some rc -> rc.rc_live_delivered <- true
-    | None -> ());
-    if m.src >= 0 then t.unacked <- (m.src, m.id) :: t.unacked;
-    t.metrics.deliveries <- t.metrics.deliveries + 1;
-    trace t ~now (Message_delivered { id = m.id; dst = t.pid; interval = t.current })
-  end;
+  pred
+
+let deliver t ~now (m : 'msg Wire.app_message) =
+  let pred = start_interval t m in
+  Store.append_volatile t.store
+    (Delivery { lg_msg = m; lg_interval = t.current; lg_window = t.recovery <> None });
+  (match t.recovery with
+  | Some rc -> rc.rc_live_delivered <- true
+  | None -> ());
+  if m.src >= 0 then t.unacked <- (m.src, m.id) :: t.unacked;
+  t.metrics.deliveries <- t.metrics.deliveries + 1;
+  trace t ~now (Message_delivered { id = m.id; dst = t.pid; interval = t.current });
   mark_part_dirty t m.payload;
   let state', effects = t.app.handle ~pid:t.pid ~n:t.app_n t.state ~src:m.src m.payload in
   t.state <- state';
@@ -733,7 +739,7 @@ let deliver t ~now ~replay (m : 'msg Wire.app_message) =
          by = Some m.id;
          sender_interval = (if m.src >= 0 then Some m.send_interval else None);
          digest = t.app.digest state';
-         replay;
+         replay = false;
        });
   List.iter
     (function
@@ -742,7 +748,7 @@ let deliver t ~now ~replay (m : 'msg Wire.app_message) =
     effects;
   (* Pessimistic logging: the volatile buffer is written synchronously on
      every delivery, before any message leaves the send buffer. *)
-  if (proto t).sync_logging && not replay then do_flush t ~now ~ack:true
+  if (proto t).sync_logging then do_flush t ~now ~ack:true
   else begin
     (* Low-risk sends leave immediately; only riskier-than-K ones wait. *)
     check_send_buffer t ~now;
@@ -754,8 +760,8 @@ let deliver t ~now ~replay (m : 'msg Wire.app_message) =
    replayed record, so serially it happens after all of them — executing
    it on a partition whose replay is still pending would read a slice the
    remaining replay is about to change.  Barrier-class messages (and every
-   message of an unpartitioned app — vacuous, since those recover
-   serially) wait for full recovery.  Parked messages simply stay in the
+   message of an unpartitioned app, whose one partition is the whole
+   state) wait for full recovery.  Parked messages simply stay in the
    receive buffer. *)
 let partition_admissible t (m : 'msg Wire.app_message) =
   match t.recovery with
@@ -780,7 +786,7 @@ let rec drain t ~now =
   | Some ((arrived, m) as cell) ->
     t.recv_buf <- List.filter (fun x -> x != cell) t.recv_buf;
     Sim.Summary.add t.metrics.delivery_delay (now -. arrived);
-    deliver t ~now ~replay:false m;
+    deliver t ~now m;
     drain t ~now
 
 let recheck t ~now =
@@ -789,16 +795,32 @@ let recheck t ~now =
   check_output_buffer t ~now
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned replay engine (fast recovery)                           *)
+(* The replay engine: Restart, fast restart and Rollback (Figure 3)    *)
 
-(* Re-execute one pre-analysed log record in its own context.  No trace
-   event is emitted here: the state a partitioned replay holds mid-way is
-   an interleaving-dependent hybrid whose digest matches no serially
-   created interval, so per-record replay certification would flag false
-   divergence.  Certification happens once, at the frontier, when the
-   state has converged to the serial result. *)
+(* Figure 3's Restart and Rollback are one procedure: restore a
+   checkpoint, then replay the logged messages (Rollback stops at the
+   first orphan).  Here that is one walk ({!replay_walk}), which does the
+   protocol part of every logged delivery and hands it on as a replay
+   item, and one executor ({!replay_exec}), which re-runs an item through
+   the application.  [restart] and [rollback] execute each item as the
+   walk hands it on; [restart_begin] queues the items per partition for
+   {!do_replay_step}.
+
+   The certification rule: synchronous replay certifies every record it
+   re-executes against the digest its interval had live, because the state
+   after each record is the serial one; background replay holds
+   interleaving-dependent hybrid states mid-way and certifies only the
+   frontier, once the state has converged (a digest per record would also
+   hash the whole state once per record: quadratic over a kvstore log).
+   Neither certifies a record whose [ri_certify] is false. *)
+
+(* The executor: re-run one logged record through the application in its
+   own context.  The regenerated sends and outputs carry the record's
+   interval and vector snapshot, not whatever the node holds when the item
+   runs. *)
 let replay_exec t ~now (ri : 'msg replay_item) =
   t.metrics.replayed <- t.metrics.replayed + 1;
+  mark_part_dirty t ri.ri_msg.Wire.payload;
   let state', effects =
     t.app.handle ~pid:t.pid ~n:t.app_n t.state ~src:ri.ri_msg.Wire.src
       ri.ri_msg.Wire.payload
@@ -819,13 +841,43 @@ let replay_exec t ~now (ri : 'msg replay_item) =
         buffer_output_at t ~now ~interval:ri.ri_interval ~tdv:ri.ri_tdv ~idx text)
     effects
 
-(* Replay up to [budget] records (checkpoint-covered records are free),
-   preferring partition [prefer] when it still has work — the on-demand
-   hook: a daemon replays the partitions clients are actually waiting on
-   first.  Returns the number of records re-executed.  On completion,
-   certifies the frontier interval against its live digest (unless the
-   frontier record was delivered inside an earlier recovery window) and
-   emits [Recovery_completed]. *)
+(* Emit the replay event the oracle checks against the live digest. *)
+let certify t ~now (ri : 'msg replay_item) =
+  if ri.ri_certify then
+    trace t ~now
+      (Interval_started
+         {
+           pid = t.pid;
+           interval = ri.ri_interval;
+           pred = Some ri.ri_pred;
+           by = Some ri.ri_msg.Wire.id;
+           sender_interval =
+             (if ri.ri_msg.Wire.src >= 0 then Some ri.ri_msg.Wire.send_interval else None);
+           digest = t.app.digest t.state;
+           replay = true;
+         })
+
+(* Synchronous replay (Restart, Rollback): the walk hands each item on
+   right after its protocol transition, so the record runs on exactly the
+   interval, vector and stability knowledge the serial execution had.  It
+   is certified as it lands, and the sends and outputs it regenerates are
+   released under the usual rules as it goes. *)
+let replay_now t ~now ri =
+  if not ri.ri_covered then begin
+    replay_exec t ~now ri;
+    certify t ~now ri;
+    check_send_buffer t ~now;
+    check_output_buffer t ~now
+  end
+
+(* Background replay: up to [budget] records (checkpoint-covered records
+   are free), preferring partition [prefer] when it still has work — the
+   on-demand hook: a daemon replays the partitions clients are actually
+   waiting on first — and log order (the oldest queue head) otherwise.
+   Returns the number of records re-executed.  On completion, certifies the
+   frontier — unless fresh deliveries were served during the window, so
+   the completed state is already past it — and emits
+   [Recovery_completed]. *)
 let do_replay_step t ~now ?prefer ~budget () =
   match t.recovery with
   | None -> 0
@@ -836,27 +888,28 @@ let do_replay_step t ~now ?prefer ~budget () =
       match rc.rc_stages with
       | [] -> finished := true
       | stage :: rest -> (
-        let nonempty p = not (Queue.is_empty stage.rs_queues.(p)) in
         let pick =
           match prefer with
-          | Some p when p >= 0 && p < rc.rc_parts && nonempty p -> Some p
+          | Some p
+            when p >= 0 && p < rc.rc_parts && not (Queue.is_empty stage.rs_queues.(p)) ->
+            Some p
           | _ ->
-            let rec probe i =
-              if i = rc.rc_parts then None
-              else
-                let p = (rc.rc_next + i) mod rc.rc_parts in
-                if nonempty p then Some p else probe (i + 1)
-            in
-            probe 0
+            let oldest = ref None in
+            Array.iteri
+              (fun p q ->
+                match Queue.peek_opt q, !oldest with
+                | Some ri, Some (_, pos) when pos < ri.ri_pos -> ()
+                | Some ri, _ -> oldest := Some (p, ri.ri_pos)
+                | None, _ -> ())
+              stage.rs_queues;
+            Option.map fst !oldest
         in
         match pick with
         | Some p ->
           let ri = Queue.pop stage.rs_queues.(p) in
-          rc.rc_next <- (p + 1) mod rc.rc_parts;
           rc.rc_part_pending.(p) <- rc.rc_part_pending.(p) - 1;
           if not ri.ri_covered then begin
             replay_exec t ~now ri;
-            if t.part_dirty <> [||] then t.part_dirty.(p) <- t.part_dirty.(p) + 1;
             rc.rc_replayed <- rc.rc_replayed + 1;
             incr executed
           end
@@ -874,28 +927,7 @@ let do_replay_step t ~now ?prefer ~budget () =
     if rc.rc_stages = [] then begin
       t.recovery <- None;
       (match rc.rc_frontier with
-      | Some ri when (not ri.ri_window) && not rc.rc_live_delivered ->
-        (* The state has converged to the serial replay result, which is
-           exactly the live state after the frontier (last logged)
-           delivery: certify it against the live digest.  A window-marked
-           frontier was itself executed on a partially recovered state, so
-           its live digest covers no serially reachable state — skip.
-           Likewise when fresh deliveries were served during the window
-           (on-demand recovery): the completed state is already past the
-           frontier, so its digest certifies nothing. *)
-        trace t ~now
-          (Interval_started
-             {
-               pid = t.pid;
-               interval = ri.ri_interval;
-               pred = None;
-               by = Some ri.ri_msg.Wire.id;
-               sender_interval =
-                 (if ri.ri_msg.Wire.src >= 0 then Some ri.ri_msg.Wire.send_interval
-                  else None);
-               digest = t.app.digest t.state;
-               replay = true;
-             })
+      | Some ri when not rc.rc_live_delivered -> certify t ~now ri
       | Some _ | None -> ());
       trace t ~now (Recovery_completed { pid = t.pid; replayed = rc.rc_replayed })
     end;
@@ -904,16 +936,13 @@ let do_replay_step t ~now ?prefer ~budget () =
     recheck t ~now;
     !executed
 
-(* Complete any in-progress partitioned replay synchronously.  Rollback,
+(* Complete any in-progress background replay synchronously.  Rollback,
    full checkpoints and announcements that force a rollback all reason
    about a single coherent state, so they drain the recovery first. *)
 let finish_recovery t ~now =
   while t.recovery <> None do
     ignore (do_replay_step t ~now ~budget:max_int () : int)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Rebuild: common replay engine for Restart and Rollback (Figure 3)   *)
 
 (* Incarnation markers persisted in the sync area, latest-writer-wins per
    log position: a marker supersedes every earlier marker at the same or a
@@ -1007,11 +1036,9 @@ let reinstate_archive t msgs =
       end)
     msgs
 
-(* Restore the checkpoint [ck] and replay the stable log through the
-   application, applying incarnation markers at their recorded positions.
-   Stops before the first record satisfying [halt] and returns the log
-   position reached. *)
-let rebuild t ~now ~ck ~halt =
+(* Restore checkpoint [ck]'s process state: application state, interval,
+   vector, and the sends and outputs it held back. *)
+let restore_state t ck =
   t.state <- ck.ck_state;
   t.current <- ck.ck_current;
   ensure_deps t ck.ck_tdv;
@@ -1019,34 +1046,102 @@ let rebuild t ~now ~ck ~halt =
   t.send_idx <- 0;
   t.out_idx <- 0;
   reinstate_saved_sends t ck.ck_sends;
-  reinstate_saved_outs t ck.ck_outs;
-  let markers = effective_markers t ~from_pos:ck.ck_log_pos in
-  let records = Store.stable_log_from t.store ~pos:ck.ck_log_pos in
-  let pos = ref ck.ck_log_pos in
-  let requeued = ref [] in
-  let rec walk markers records =
-    match markers, records with
-    | ((_, p) as m) :: ms, _ when p <= !pos ->
-      apply_marker t m;
-      walk ms records
-    | _, [] -> ()
-    | _, Requeued m :: rs ->
-      (* Not a state transition: remember it for the caller (Restart puts
-         undelivered ones back into the receive buffer). *)
-      requeued := m :: !requeued;
-      incr pos;
-      walk markers rs
-    | _, (Delivery d as r) :: rs ->
-      if halt r then ()
-      else begin
-        deliver t ~now ~replay:true d.lg_msg;
-        assert (Entry.equal t.current d.lg_interval);
-        incr pos;
-        walk markers rs
-      end
+  reinstate_saved_outs t ck.ck_outs
+
+(* The replay walk.  From the restored checkpoint [ck], walk the stable
+   log, applying incarnation markers at their recorded positions and giving
+   every delivery its live protocol transition ({!start_interval}, Theorem
+   2 elision included), then handing its replay item to [emit], in log
+   order.  Stops before the first delivery whose message satisfies [halt].
+   Returns the log position reached and the Requeued messages walked past.
+   [covered.(p)] is the log position up to which partition [p]'s slice was
+   restored from a per-partition checkpoint. *)
+let replay_walk t ~ck ?(covered = [||]) ~halt ~emit () =
+  let serial_from = Array.fold_left Stdlib.max ck.ck_log_pos covered in
+  let part_of payload =
+    match t.app.App_intf.partitioning with
+    | None -> Some 0
+    | Some pt -> pt.part_of_msg ~n:t.app_n payload
   in
-  walk markers records;
-  (!pos, List.rev !requeued)
+  let rec walk pos markers records requeued =
+    match markers, records with
+    | ((_, p) as marker) :: ms, _ when p <= pos ->
+      apply_marker t marker;
+      walk pos ms records requeued
+    | _, Requeued m :: rs -> walk (pos + 1) markers rs (m :: requeued)
+    | _, Delivery d :: rs when not (halt d.lg_msg) ->
+      let pred = start_interval t d.lg_msg in
+      assert (Entry.equal t.current d.lg_interval);
+      let part = part_of d.lg_msg.Wire.payload in
+      let ri =
+        {
+          ri_msg = d.lg_msg;
+          ri_pos = pos;
+          ri_pred = pred;
+          ri_interval = t.current;
+          ri_tdv = Dep_vector.copy t.tdv;
+          ri_part = part;
+          ri_covered =
+            (match part with
+            | Some p -> p < Array.length covered && pos < covered.(p)
+            | None -> false);
+          ri_certify = (not d.lg_window) && pos + 1 >= serial_from;
+        }
+      in
+      emit ri;
+      walk (pos + 1) markers rs requeued
+    | _, ([] | Delivery _ :: _) -> (pos, List.rev requeued)
+  in
+  walk ck.ck_log_pos
+    (effective_markers t ~from_pos:ck.ck_log_pos)
+    (Store.stable_log_from t.store ~pos:ck.ck_log_pos)
+    []
+
+(* Requeued messages in the replayed prefix that were not re-delivered go
+   back into the receive buffer ("add non-orphans to Receive buffer");
+   known orphans and anything already delivered or buffered are
+   dropped. *)
+let requeue t ~now msgs =
+  List.iter
+    (fun (m : 'msg Wire.app_message) ->
+      if
+        (not (Hashtbl.mem t.delivered m.Wire.id))
+        && (not (buffered_in_recv t m.Wire.id))
+        && not (orphan_wire t m)
+      then t.recv_buf <- t.recv_buf @ [ (now, m) ])
+    msgs
+
+(* Queue a plan for background replay: one queue per partition, cut into
+   stages at every barrier. *)
+let replay_queues t items =
+  let parts = match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 1 in
+  let fresh_queues () = Array.init parts (fun _ -> Queue.create ()) in
+  let pending = Array.make parts 0 in
+  let stages, last, barriers, frontier =
+    List.fold_left
+      (fun (stages, cur, barriers, _) ri ->
+        match ri.ri_part with
+        | Some p ->
+          Queue.add ri cur.(p);
+          pending.(p) <- pending.(p) + 1;
+          (stages, cur, barriers, Some ri)
+        | None ->
+          ( { rs_queues = cur; rs_barrier = Some ri } :: stages,
+            fresh_queues (),
+            barriers + 1,
+            Some ri ))
+      ([], fresh_queues (), 0, None)
+      items
+  in
+  {
+    rc_parts = parts;
+    rc_stages = List.rev ({ rs_queues = last; rs_barrier = None } :: stages);
+    rc_part_pending = pending;
+    rc_barriers_pending = barriers;
+    rc_replayed = 0;
+    rc_frontier = frontier;
+    rc_live_delivered = false;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Rollback (Figure 3)                                                 *)
@@ -1105,15 +1200,14 @@ let rollback t ~now ~(because : Wire.announcement) =
       assert false
   in
   t.ckpt_ops <- t.ckpt_ops + 1;
+  restore_state t ck;
   (* Replay "till condition (I) is not satisfied": stop before the first
      logged delivery whose piggyback would make us depend on a rolled-back
      interval of P_j. *)
-  let halt = function
-    | Requeued _ -> false
-    | Delivery d ->
-      List.exists (fun (i, e) -> i = j && orphan_entry ann e) d.lg_msg.Wire.dep
+  let halt (m : 'msg Wire.app_message) =
+    List.exists (fun (i, e) -> i = j && orphan_entry ann e) m.dep
   in
-  let stop_pos, walked_requeued = rebuild t ~now ~ck ~halt in
+  let stop_pos, walked_requeued = replay_walk t ~ck ~halt ~emit:(replay_now t ~now) () in
   let stop = t.current in
   let removed = Store.truncate_stable_log t.store ~keep:stop_pos in
   let first_undone =
@@ -1149,14 +1243,7 @@ let rollback t ~now ~(because : Wire.announcement) =
      crash, so the live node must too — dropping them here would leave the
      store remembering a message the process forgot, and the next restart
      would deliver it, diverging from the live run. *)
-  List.iter
-    (fun (m : 'msg Wire.app_message) ->
-      if
-        (not (Hashtbl.mem t.delivered m.Wire.id))
-        && (not (buffered_in_recv t m.Wire.id))
-        && not (orphan_wire t m)
-      then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-    walked_requeued;
+  requeue t ~now walked_requeued;
   ignore (Store.flush_forced t.store : int);
   (* Prune volatile structures of the undone intervals.  State-interval
      indices are monotone along a process history, so "undone" is exactly
@@ -1414,6 +1501,32 @@ let run_gc t =
       (* anchor is the about-to-be-saved state: prune after it is saved *)
       ())
 
+(* Immutable snapshots of the send and output buffers, for checkpoints. *)
+let saved_sends t =
+  List.map
+    (fun ps ->
+      {
+        sv_id = ps.ps_id;
+        sv_dst = ps.ps_dst;
+        sv_interval = ps.ps_interval;
+        sv_dep = Dep_vector.non_null ps.ps_tdv;
+        sv_payload = ps.ps_payload;
+        sv_enqueued = ps.ps_enqueued;
+        sv_k = ps.ps_k;
+      })
+    t.send_buf
+
+let saved_outs t =
+  List.map
+    (fun po ->
+      {
+        so_id = po.po_id;
+        so_text = po.po_text;
+        so_dep = Dep_vector.non_null po.po_tdv;
+        so_buffered = po.po_buffered;
+      })
+    t.out_buf
+
 let do_checkpoint t ~now =
   (* A full checkpoint snapshots the whole state; a partially replayed
      hybrid is not a state serial replay can reach, so drain first.  The
@@ -1427,29 +1540,8 @@ let do_checkpoint t ~now =
       ck_tdv = Dep_vector.non_null t.tdv;
       ck_state = t.state;
       ck_log_pos = Store.stable_log_length t.store;
-      ck_sends =
-        List.map
-          (fun ps ->
-            {
-              sv_id = ps.ps_id;
-              sv_dst = ps.ps_dst;
-              sv_interval = ps.ps_interval;
-              sv_dep = Dep_vector.non_null ps.ps_tdv;
-              sv_payload = ps.ps_payload;
-              sv_enqueued = ps.ps_enqueued;
-              sv_k = ps.ps_k;
-            })
-          t.send_buf;
-      ck_outs =
-        List.map
-          (fun po ->
-            {
-              so_id = po.po_id;
-              so_text = po.po_text;
-              so_dep = Dep_vector.non_null po.po_tdv;
-              so_buffered = po.po_buffered;
-            })
-          t.out_buf;
+      ck_sends = saved_sends t;
+      ck_outs = saved_outs t;
       ck_archive = Archive.newest_first t.archive;
     }
   in
@@ -1483,15 +1575,87 @@ let do_crash t ~now =
   t.recovery <- None;
   trace t ~now (Crashed { pid = t.pid; first_lost })
 
-(* Shared restart prologue: wipe volatile state, rebuild durable knowledge
-   from the synchronous area (announcements we logged — ours and others' —
+(* Apply the surviving per-partition checkpoints [part_ck] (latest record
+   per partition) over the restored full checkpoint [ck]'s state, and
+   re-instate the pending effects their covered (skipped) records would
+   have regenerated.  Returns, per partition, the log position up to which
+   its slice is now restored (0 where none applies). *)
+let import_part_ckpts t ~ck part_ck =
+  let covered = Array.make (Array.length part_ck) 0 in
+  (match t.app.App_intf.partitioning with
+  | None -> ()
+  | Some pt ->
+    (* A barrier in the replay range reads and writes state outside any
+       single partition, so no per-partition snapshot is sound across it;
+       applications with barriers declare no export anyway. *)
+    let has_barrier =
+      List.exists
+        (function
+          | Delivery d -> pt.part_of_msg ~n:t.app_n d.lg_msg.Wire.payload = None
+          | Requeued _ -> false)
+        (Store.stable_log_from t.store ~pos:ck.ck_log_pos)
+    in
+    let stable_len = Store.stable_log_length t.store in
+    Array.iteri
+      (fun p slot ->
+        match slot with
+        | Some (pos, payload)
+          when pt.part_import <> None
+               && (not has_barrier)
+               && pos > ck.ck_log_pos && pos <= stable_len -> (
+          (* The payload is a sealed (length- and CRC-witnessed) blob; the
+             witness covers exactly the marshalled bytes, so [Marshal] never
+             runs on damaged input it could crash on — and a blob that fails
+             the witness (or the unmarshal, or the app's import) is a
+             {e reported} loss: the slot is dropped, the partition falls
+             back to replaying from the full checkpoint, and the drop is
+             counted.  Never a silent acceptance, never an abort. *)
+          let decoded =
+            match Durable.Codec.unseal payload with
+            | Error _ -> None
+            | Ok bytes -> (
+              match
+                (Marshal.from_string bytes 0
+                  : string
+                    * 'msg saved_send list
+                    * saved_output list
+                    * 'msg Wire.app_message list)
+              with
+              | v -> Some v
+              | exception (Failure _ | Invalid_argument _ | End_of_file) -> None)
+          in
+          let imported =
+            match decoded with
+            | None -> None
+            | Some ((slice, _, _, _) as v) -> (
+              match pt.part_import with
+              | None -> Some v
+              | Some import -> (
+                match import t.state p slice with
+                | state' ->
+                  t.state <- state';
+                  Some v
+                | exception Failure _ -> None))
+          in
+          match imported with
+          | None -> t.metrics.part_ckpt_dropped <- t.metrics.part_ckpt_dropped + 1
+          | Some (_, sends, outs, archive) ->
+            covered.(p) <- pos;
+            reinstate_saved_sends t sends;
+            reinstate_saved_outs t outs;
+            reinstate_archive t archive)
+        | Some _ | None -> ())
+      part_ck);
+  covered
+
+(* Restart prologue: wipe volatile state, rebuild durable knowledge from
+   the synchronous area (announcements we logged — ours and others' —
    committed outputs, incarnation markers, per-partition checkpoints),
-   re-seed the duplicate-suppression table from the whole stable log and
-   locate the full checkpoint to rebuild from.  Returns the checkpoint and
-   the surviving per-partition checkpoint candidates (latest record per
-   partition, invalidated by any later marker that truncated below its
-   covered prefix). *)
-let restart_prologue t =
+   re-seed the duplicate-suppression table from the whole stable log,
+   restore the latest checkpoint and the per-partition checkpoints that
+   survive it, and walk the log, handing each replay item to [emit].
+   Returns the checkpoint and the Requeued messages walked past. *)
+let restart_prologue t ~emit =
   t.metrics.restarts <- t.metrics.restarts + 1;
   (* Volatile state is gone. *)
   t.recovery <- None;
@@ -1514,10 +1678,12 @@ let restart_prologue t =
   t.log_tab <- Array.make t.n Entry_set.empty;
   t.iet <- Array.make t.n Entry_set.empty;
   t.max_ann_inc <- Array.make t.n (-1);
+  (* Latest per-partition checkpoint record, invalidated by any later
+     marker that truncated below its covered prefix. *)
   let parts =
     match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 0
   in
-  let part_ck = Array.make (Stdlib.max parts 1) None in
+  let part_ck = Array.make parts None in
   List.iter
     (function
       | Wire.Ann_logged (ann : Wire.announcement) ->
@@ -1558,12 +1724,20 @@ let restart_prologue t =
       | Delivery d -> Hashtbl.replace t.delivered d.lg_msg.Wire.id d.lg_interval
       | Requeued _ -> ())
     (Store.stable_log_from t.store ~pos:(Store.log_base t.store));
-  (ck, part_ck)
+  restore_state t ck;
+  let covered = import_part_ckpts t ~ck part_ck in
+  let _, requeued = replay_walk t ~ck ~covered ~halt:(fun _ -> false) ~emit () in
+  (ck, requeued)
 
-(* Shared restart epilogue: announce the failure, persist the incarnation
-   bump, continue as a fresh interval and come back up.  [t.current] must
-   be the frontier of the (metadata or full) replay when this runs. *)
-let restart_epilogue t ~now =
+(* Restart epilogue: recover the retransmission archive and the receive
+   buffer, announce the failure, persist the incarnation bump, continue as
+   a fresh interval and come back up.  [t.current] is the frontier of the
+   replay walk. *)
+let restart_epilogue t ~now ~ck ~requeued =
+  (* Replay regenerates the sends of replayed intervals; anything older
+     comes from the checkpoint's archive copy. *)
+  reinstate_archive t ck.ck_archive;
+  requeue t ~now requeued;
   (* Everything reconstructed from the stable log is stable by definition. *)
   trace t ~now (Stability_advanced { pid = t.pid; upto = t.current });
   (* The failed incarnation is the highest number this process ever used,
@@ -1607,224 +1781,6 @@ let restart_epilogue t ~now =
   trace t ~now (Restarted { pid = t.pid; announced = fa; new_current });
   push t (Broadcast (Wire.Ann fa))
 
-let do_restart t ~now =
-  let rep0 = t.metrics.replayed in
-  let ck, _part_ck = restart_prologue t in
-  let _, requeued = rebuild t ~now ~ck ~halt:(fun _ -> false) in
-  (* Recover the retransmission archive: replay re-released the sends of
-     replayed intervals; anything older comes from the checkpoint copy. *)
-  reinstate_archive t ck.ck_archive;
-  (* Requeued messages not re-delivered before the crash go back to the
-     receive buffer; known orphans and anything already delivered are
-     dropped. *)
-  List.iter
-    (fun (m : 'msg Wire.app_message) ->
-      if
-        (not (Hashtbl.mem t.delivered m.id))
-        && (not (buffered_in_recv t m.id))
-        && not (orphan_wire t m)
-      then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-    requeued;
-  restart_epilogue t ~now;
-  trace t ~now
-    (Recovery_completed { pid = t.pid; replayed = t.metrics.replayed - rep0 });
-  recheck t ~now
-
-(* Restart's fast-path variant: come back up {e before} replaying.  The
-   serial metadata pass reconstructs everything replay can derive from the
-   log alone (intervals, dependency snapshots, duplicate suppression,
-   direct parents) and queues the application re-execution per partition;
-   the caller then pumps {!do_replay_step} while already serving requests
-   on partitions whose queues have drained.  Falls back to the serial
-   restart when the application declares no partitioning. *)
-let do_restart_begin t ~now =
-  match t.app.App_intf.partitioning with
-  | None -> do_restart t ~now
-  | Some pt ->
-    let ck, part_ck = restart_prologue t in
-    t.state <- ck.ck_state;
-    t.current <- ck.ck_current;
-    ensure_deps t ck.ck_tdv;
-    t.tdv <- Dep_vector.of_non_null ~n:t.n ck.ck_tdv;
-    t.send_idx <- 0;
-    t.out_idx <- 0;
-    reinstate_saved_sends t ck.ck_sends;
-    reinstate_saved_outs t ck.ck_outs;
-    let records = Store.stable_log_from t.store ~pos:ck.ck_log_pos in
-    (* A barrier in the replay range reads and writes state outside any
-       single partition, so no per-partition snapshot is sound across it;
-       applications with barriers declare no export anyway. *)
-    let has_barrier =
-      List.exists
-        (function
-          | Delivery d -> pt.part_of_msg ~n:t.app_n d.lg_msg.Wire.payload = None
-          | Requeued _ -> false)
-        records
-    in
-    let stable_len = Store.stable_log_length t.store in
-    Array.iteri
-      (fun p slot ->
-        match slot with
-        | Some (pos, _)
-          when pt.part_import <> None
-               && (not has_barrier)
-               && pos > ck.ck_log_pos && pos <= stable_len -> ()
-        | Some _ -> part_ck.(p) <- None
-        | None -> ())
-      part_ck;
-    (* Apply the surviving per-partition checkpoints over the full
-       checkpoint's state, and re-instate the pending effects their
-       covered (skipped) records would have regenerated. *)
-    Array.iteri
-      (fun p slot ->
-        match slot with
-        | None -> ()
-        | Some (_, payload) ->
-          (* The payload is a sealed (length- and CRC-witnessed) blob; the
-             witness covers exactly the marshalled bytes, so [Marshal] never
-             runs on damaged input it could crash on — and a blob that fails
-             the witness (or the unmarshal, or the app's import) is a
-             {e reported} loss: the slot is dropped, the partition falls
-             back to replaying from the full checkpoint, and the drop is
-             counted.  Never a silent acceptance, never an abort. *)
-          let decoded =
-            match Durable.Codec.unseal payload with
-            | Error _ -> None
-            | Ok bytes -> (
-              match
-                (Marshal.from_string bytes 0
-                  : string
-                    * 'msg saved_send list
-                    * saved_output list
-                    * 'msg Wire.app_message list)
-              with
-              | v -> Some v
-              | exception (Failure _ | Invalid_argument _ | End_of_file) -> None)
-          in
-          let imported =
-            match decoded with
-            | None -> None
-            | Some ((slice, _, _, _) as v) -> (
-              match pt.part_import with
-              | None -> Some v
-              | Some import -> (
-                match import t.state p slice with
-                | state' ->
-                  t.state <- state';
-                  Some v
-                | exception Failure _ -> None))
-          in
-          match imported with
-          | None ->
-            part_ck.(p) <- None;
-            t.metrics.part_ckpt_dropped <- t.metrics.part_ckpt_dropped + 1
-          | Some (_, sends, outs, archive) ->
-            reinstate_saved_sends t sends;
-            reinstate_saved_outs t outs;
-            reinstate_archive t archive)
-      part_ck;
-    (* Serial metadata pass: evolve intervals, vectors and bookkeeping
-       exactly as [rebuild] would, but defer the application handlers into
-       per-partition queues. *)
-    let markers = effective_markers t ~from_pos:ck.ck_log_pos in
-    let pos = ref ck.ck_log_pos in
-    let requeued = ref [] in
-    let fresh_queues () = Array.init pt.parts (fun _ -> Queue.create ()) in
-    let stages_rev = ref [] in
-    let cur = ref (fresh_queues ()) in
-    let part_pending = Array.make pt.parts 0 in
-    let barriers = ref 0 in
-    let frontier = ref None in
-    let rec walk markers records =
-      match markers, records with
-      | ((_, p) as m) :: ms, _ when p <= !pos ->
-        apply_marker t m;
-        walk ms records
-      | _, [] -> ()
-      | _, Requeued m :: rs ->
-        requeued := m :: !requeued;
-        incr pos;
-        walk markers rs
-      | _, Delivery d :: rs ->
-        let pred = t.current in
-        ensure_deps t d.lg_msg.Wire.dep;
-        (match (proto t).tracking with
-        | Config.Transitive ->
-          Dep_vector.merge_max ~into:t.tdv
-            (Dep_vector.of_non_null ~n:t.n d.lg_msg.Wire.dep)
-        | Config.Direct -> ());
-        t.current <- Entry.next_interval t.current;
-        Dep_vector.set t.tdv t.pid (Some t.current);
-        assert (Entry.equal t.current d.lg_interval);
-        Hashtbl.replace t.direct_parents t.current
-          ((t.pid, pred)
-          ::
-          (if d.lg_msg.Wire.src >= 0 then
-             [ (d.lg_msg.Wire.src, d.lg_msg.Wire.send_interval) ]
-           else []));
-        Hashtbl.replace t.delivered d.lg_msg.Wire.id t.current;
-        let item covered =
-          {
-            ri_msg = d.lg_msg;
-            ri_interval = t.current;
-            ri_tdv = Dep_vector.copy t.tdv;
-            ri_window = d.lg_window;
-            ri_covered = covered;
-          }
-        in
-        (match pt.part_of_msg ~n:t.app_n d.lg_msg.Wire.payload with
-        | Some p ->
-          let covered =
-            match part_ck.(p) with
-            | Some (cpos, _) -> !pos < cpos
-            | None -> false
-          in
-          let ri = item covered in
-          Queue.add ri (!cur).(p);
-          part_pending.(p) <- part_pending.(p) + 1;
-          frontier := Some ri
-        | None ->
-          let ri = item false in
-          stages_rev := { rs_queues = !cur; rs_barrier = Some ri } :: !stages_rev;
-          cur := fresh_queues ();
-          incr barriers;
-          frontier := Some ri);
-        incr pos;
-        walk markers rs
-    in
-    walk markers records;
-    stages_rev := { rs_queues = !cur; rs_barrier = None } :: !stages_rev;
-    reinstate_archive t ck.ck_archive;
-    List.iter
-      (fun (m : 'msg Wire.app_message) ->
-        if
-          (not (Hashtbl.mem t.delivered m.Wire.id))
-          && (not (buffered_in_recv t m.Wire.id))
-          && not (orphan_wire t m)
-        then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-      (List.rev !requeued);
-    restart_epilogue t ~now;
-    let pending = Array.fold_left ( + ) 0 part_pending + !barriers in
-    if pending = 0 then begin
-      trace t ~now (Recovery_completed { pid = t.pid; replayed = 0 });
-      recheck t ~now
-    end
-    else begin
-      t.recovery <-
-        Some
-          {
-            rc_parts = pt.parts;
-            rc_stages = List.rev !stages_rev;
-            rc_part_pending = part_pending;
-            rc_barriers_pending = !barriers;
-            rc_replayed = 0;
-            rc_frontier = !frontier;
-            rc_next = 0;
-            rc_live_delivered = false;
-          };
-      recheck t ~now
-    end
-
 (* ------------------------------------------------------------------ *)
 (* Per-partition incremental checkpoints                               *)
 
@@ -1837,7 +1793,7 @@ let do_restart_begin t ~now =
    when the application exports no slices or nothing is dirty. *)
 let do_partition_checkpoint t ~now =
   match t.app.App_intf.partitioning with
-  | Some ({ part_export = Some export; _ } as pt) when t.recovery = None ->
+  | Some { part_export = Some export; _ } when t.recovery = None ->
     let best = ref (-1) in
     Array.iteri
       (fun p c -> if c > 0 && (!best < 0 || c > t.part_dirty.(!best)) then best := p)
@@ -1849,37 +1805,15 @@ let do_partition_checkpoint t ~now =
          corresponds exactly to the stable prefix it claims to cover. *)
       do_flush ~forced:true t ~now ~ack:true;
       let pos = Store.stable_log_length t.store in
-      let sends =
-        List.map
-          (fun ps ->
-            {
-              sv_id = ps.ps_id;
-              sv_dst = ps.ps_dst;
-              sv_interval = ps.ps_interval;
-              sv_dep = Dep_vector.non_null ps.ps_tdv;
-              sv_payload = ps.ps_payload;
-              sv_enqueued = ps.ps_enqueued;
-              sv_k = ps.ps_k;
-            })
-          t.send_buf
-      in
-      let outs =
-        List.map
-          (fun po ->
-            {
-              so_id = po.po_id;
-              so_text = po.po_text;
-              so_dep = Dep_vector.non_null po.po_tdv;
-              so_buffered = po.po_buffered;
-            })
-          t.out_buf
-      in
       let payload =
         (* Sealed so restart can witness integrity before unmarshalling;
-           see the decode side in [do_restart_begin]. *)
+           see the decode side in [import_part_ckpts]. *)
         Durable.Codec.seal
           (Marshal.to_string
-             (export t.state p, sends, outs, Archive.newest_first t.archive)
+             ( export t.state p,
+               saved_sends t,
+               saved_outs t,
+               Archive.newest_first t.archive )
              [ Marshal.Closures ])
       in
       Store.log_announcement t.store
@@ -1893,7 +1827,6 @@ let do_partition_checkpoint t ~now =
            | Wire.Ann_logged _ | Wire.Marker _ | Wire.Committed _
            | Wire.Gc_stubs _ -> true)
           : int);
-      ignore pt.parts;
       t.part_dirty.(p) <- 0;
       true
     end
@@ -2166,11 +2099,36 @@ let halt t ~now =
   if t.up then do_crash t ~now;
   Store.kill t.store
 
+(* Figure 3's Restart: replay every record as the walk reaches it, then
+   come back up.  The sends the replay releases leave before the failure
+   announcement. *)
 let restart t ~now =
-  with_cost t (fun () -> if not t.up then do_restart t ~now)
+  with_cost t (fun () ->
+      if not t.up then begin
+        let rep0 = t.metrics.replayed in
+        let ck, requeued = restart_prologue t ~emit:(replay_now t ~now) in
+        restart_epilogue t ~now ~ck ~requeued;
+        trace t ~now
+          (Recovery_completed { pid = t.pid; replayed = t.metrics.replayed - rep0 });
+        recheck t ~now
+      end)
 
+(* Restart's fast variant: come back up {e before} replaying.  The walk
+   already reconstructed everything the log alone determines (intervals,
+   dependency snapshots, duplicate suppression, direct parents); the
+   application re-execution is queued per partition, and the caller pumps
+   [replay_step] while already serving requests on partitions whose queues
+   have drained. *)
 let restart_begin t ~now =
-  with_cost t (fun () -> if not t.up then do_restart_begin t ~now)
+  with_cost t (fun () ->
+      if not t.up then begin
+        let items = ref [] in
+        let ck, requeued = restart_prologue t ~emit:(fun ri -> items := ri :: !items) in
+        restart_epilogue t ~now ~ck ~requeued;
+        if !items = [] then trace t ~now (Recovery_completed { pid = t.pid; replayed = 0 })
+        else t.recovery <- Some (replay_queues t (List.rev !items));
+        recheck t ~now
+      end)
 
 let replay_step t ~now ?prefer ~budget () =
   let executed = ref 0 in

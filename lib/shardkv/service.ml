@@ -185,10 +185,6 @@ let run_open_loop ?start t ops =
         multi_put t (List.map (fun (r, v) -> (key_of_rank r, v)) pairs))
     ops
 
-let latency_stats t trace =
-  Latency.ingest t.lat trace;
-  Latency.stats t.lat
-
 (* ------------------------------------------------------------------ *)
 (* E15                                                                 *)
 
@@ -271,7 +267,8 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
       failwith
         (Fmt.str "E15 %s: measured risk %d exceeds K=%d" label
            o.Harness.Oracle.max_risk k);
-    let stats = latency_stats svc outcome.Net.Deployment.trace in
+    Latency.ingest svc.lat outcome.Net.Deployment.trace;
+    let stats = Latency.stats svc.lat in
     if not faulted then begin
       Net.Deployment.check_fault_free outcome;
       if stats.outstanding > 0 then

@@ -109,12 +109,6 @@ val run_open_loop : ?start:float -> t -> Harness.Workload.timed_kv_op list -> un
     silently throttling the load.  Pass the same [start] across calls to
     keep one schedule honest around mid-run kills. *)
 
-val latency_stats : t -> Recovery.Trace.t -> latency_stats
-[@@ocaml.deprecated "use Service.latency + Latency.ingest/Latency.stats"]
-(** [Latency.ingest (latency t) trace; Latency.stats (latency t)].  Kept
-    for callers of the pre-registry API; note the percentile semantics
-    changed from exact order statistics to histogram bucket bounds. *)
-
 val experiment : ?smoke:bool -> unit -> Harness.Report.t * (string * float) list
 (** E15: the sharded KV service on live clusters.  Per cluster size
     (N = 16 and N = 64; [smoke]: N = 4) an open-loop Zipfian workload runs

@@ -7,7 +7,7 @@
     with the index of the one to execute.  This turns the schedule itself
     into an input, which is what lets the model checker enumerate, record
     and replay interleavings ({!Harness.Explore}) and lets stress tests
-    drive the threaded runtime through adversarial mailbox orders.
+    drive the cluster through adversarial execution orders.
 
     Every pick is recorded, so the exact interleaving of any run can be
     serialized and replayed byte-for-byte. *)
@@ -26,8 +26,7 @@ val replay : int list -> t
 val of_fun : (n_enabled:int -> int) -> t
 (** Arbitrary policy: the function receives the number of pending events
     ([>= 1]) and returns the index of the one to execute.  Results are
-    clamped to [[0, n_enabled)].  The function must be pure if the
-    scheduler is shared across threads (see {!Runtime.Actor_runtime}). *)
+    clamped to [[0, n_enabled)]. *)
 
 val pick : t -> n_enabled:int -> int
 (** Next choice, recorded.  Requires [n_enabled >= 1]. *)

@@ -184,6 +184,51 @@ let test_busy_gating_serializes_node () =
   let st : Counter.state = Node.app_state (Cluster.node c 0) in
   Alcotest.(check int) "all processed" 5 st.total
 
+let test_lifo_scheduler_with_crash () =
+  (* A perverse execution order — always the newest pending event first —
+     must not break the protocol: delivery conditions and the send gate
+     are order-independent, and the oracle certifies the trace.  Timers
+     are scripted (a periodic timer would always be the newest event), and
+     the run proceeds in phases, each drained to quiescence. *)
+  let n = 3 in
+  let lifo = Sim.Scheduler.of_fun (fun ~n_enabled -> n_enabled - 1) in
+  let c =
+    Cluster.create
+      ~config:(Config.k_optimistic ~timing:Util.quiet_timing ~n ~k:1 ())
+      ~app:Counter.app ~auto_timers:false ~scheduler:lifo ()
+  in
+  let forwards ~from =
+    for i = from to from + 9 do
+      Cluster.inject_at c
+        ~time:(Cluster.now c +. float_of_int (i - from + 1))
+        ~dst:(i mod n)
+        (Counter.Forward { dst = (i + 1) mod n; amount = i })
+    done
+  in
+  let logging_round () =
+    for pid = 0 to n - 1 do
+      Cluster.flush_at c ~time:(Cluster.now c +. 1.) ~pid;
+      Cluster.notice_at c ~time:(Cluster.now c +. 2.) ~pid
+    done;
+    Cluster.run c
+  in
+  forwards ~from:1;
+  Cluster.run c;
+  logging_round ();
+  (* Scheduled before the next injections, so under LIFO the crash runs
+     only once they (and everything they caused) have drained: P1 dies
+     with unflushed deliveries. *)
+  Cluster.crash_at c ~time:(Cluster.now c +. 0.5) ~pid:1;
+  forwards ~from:11;
+  Cluster.run c;
+  logging_round ();
+  logging_round ();
+  Alcotest.(check int) "one restart" 1 (Cluster.stats c).restarts;
+  let report = Harness.Oracle.check ~k:1 ~n (Cluster.trace c) in
+  if not (Harness.Oracle.ok report) then
+    Alcotest.failf "oracle under LIFO scheduling: %a" Harness.Oracle.pp_report report;
+  Alcotest.(check bool) "the crash lost work" true (report.Harness.Oracle.lost > 0)
+
 let suite =
   [
     Alcotest.test_case "inject and run" `Quick test_inject_and_run;
@@ -202,4 +247,6 @@ let suite =
     Alcotest.test_case "seed changes schedule" `Quick test_seed_changes_schedule;
     Alcotest.test_case "stats packets" `Quick test_stats_packets;
     Alcotest.test_case "busy gating serializes a node" `Quick test_busy_gating_serializes_node;
+    Alcotest.test_case "LIFO scheduler with a crash: oracle clean" `Quick
+      test_lifo_scheduler_with_crash;
   ]

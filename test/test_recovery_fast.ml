@@ -1,21 +1,26 @@
 (* Fast-recovery unit + property tests, on a single node over the
    in-memory store (crash + restart on the same handle):
 
-   - QCheck law: partitioned replay ([restart_begin] + [replay_step] in
-     any preference order, any budgets) reaches the same per-partition
-     digests as Figure 3's serial [restart], for any op sequence and any
-     stability point at the crash.
+   - QCheck law: replay after a crash — background ([restart_begin] +
+     [replay_step] in any preference order, any budgets) and synchronous
+     ([restart]) — reaches the state of a never-crashed twin fed only the
+     stable prefix, for any op sequence and any stability point at the
+     crash; over kvstore (eight partitions) and over the unpartitioned
+     counter app (one partition).
    - QCheck law: a prefix captured by incremental [Part_ckpt] snapshots
-     plus replay of the remainder equals one-shot replay of the whole log.
+     plus replay of the remainder equals the never-crashed twin.
    - Scripted on-demand timeline: a Get for an already-replayed partition
      is answered while another partition is still replaying; a Get parked
      on an unrecovered partition is answered only after that partition's
      replay completes — from the replayed state, never the pre-crash
-     (wiped) one. *)
+     (wiped) one.
+   - Records delivered inside a recovery window are never re-certified:
+     a later restart or rollback replays them cleanly. *)
 
 module Node = Recovery.Node
 module Trace = Recovery.Trace
 module App = App_model.Kvstore_app
+module Counter = App_model.Counter_app
 module D = Util.Driver
 
 (* One process, K = 0, no timers: kvstore keys are all locally owned
@@ -29,12 +34,26 @@ let parts = App.parts
 (* A small key pool with a known partition for each key. *)
 let key_of i = Fmt.str "law-%d" i
 
+let kv_op (ki, v) = App.Put { key = key_of ki; value = v }
+
+(* Counter ops: mostly adds, every fifth a Report, so replay also
+   regenerates outputs. *)
+let counter_op (ki, v) = if ki mod 5 = 0 then Counter.Report else Counter.Add v
+
 let feed d ops ~flush_at =
   List.iteri
-    (fun i (ki, v) ->
-      D.inject d ~seq:(i + 1) (App.Put { key = key_of ki; value = v });
+    (fun i msg ->
+      D.inject d ~seq:(i + 1) msg;
       if i + 1 = flush_at then D.flush d)
     ops
+
+(* The independent reference: a twin that never crashes, fed only the ops
+   that were stable at the crash.  Its live state is what serial execution
+   of the surviving log produces, reached without any replay code. *)
+let twin app ops ~stable =
+  let d = D.make (config ()) app in
+  feed d (List.filteri (fun i _ -> i < stable) ops) ~flush_at:stable;
+  d
 
 let drain_replay ?(rng = fun _ -> 0) node =
   let fuel = ref 10_000 in
@@ -47,12 +66,25 @@ let drain_replay ?(rng = fun _ -> 0) node =
       (Node.replay_step node ~now:2000. ~prefer ~budget () : int * _ list * _)
   done
 
-let check_digests ~msg a b =
-  for p = 0 to parts - 1 do
-    Alcotest.(check (option int))
-      (Fmt.str "%s: partition %d digest" msg p)
-      (Node.partition_digest b p) (Node.partition_digest a p)
-  done
+(* A seed-dependent preference order with small uneven budgets. *)
+let seeded_rng seed =
+  let state = ref seed in
+  fun bound ->
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state mod bound
+
+(* Whole-state digest plus each partition's digest. *)
+let digests (app : (_, _) App_model.App_intf.t) node =
+  app.digest (Node.app_state node)
+  :: List.init (Node.partition_count node) (fun p ->
+         Option.get (Node.partition_digest node p))
+
+let check_digests ~msg app ~reference d =
+  Alcotest.(check (list int)) msg (digests app reference.D.node) (digests app d.D.node)
+
+let check_oracle ~k ~n trace =
+  let report = Harness.Oracle.check ~k ~n trace in
+  Alcotest.(check (list string)) "oracle violations" [] report.Harness.Oracle.violations
 
 (* Generator: an op sequence over a 24-key pool, a stability point (flush
    position) and a seed for the replay preference/budget walk. *)
@@ -62,67 +94,69 @@ let gen_case =
       (list_size (int_range 1 40) (pair (int_bound 23) (int_bound 99)))
       (int_bound 40) (int_bound 1000))
 
-let law_partitioned_eq_serial =
-  Util.qtest ~count:80 "partitioned replay == serial replay (digests)" gen_case
-    (fun (ops, flush_at, seed) ->
+let law_replay_eq_twin ~name app to_msg =
+  Util.qtest ~count:80 name gen_case (fun (ops, flush_at, seed) ->
+      let ops = List.map to_msg ops in
       let flush_at = min flush_at (List.length ops) in
-      let a = D.make (config ()) App.app in
-      let b = D.make (config ()) App.app in
+      let reference = twin app ops ~stable:flush_at in
+      (* A: background replay; B: synchronous restart. *)
+      let a = D.make (config ()) app in
+      let b = D.make (config ()) app in
       feed a ops ~flush_at;
       feed b ops ~flush_at;
       D.crash a;
       D.crash b;
-      (* A: incremental, replayed in a seed-dependent preference order
-         with small uneven budgets; B: Figure 3's serial restart. *)
       ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
-      let state = ref seed in
-      let rng bound =
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state mod bound
-      in
-      drain_replay ~rng a.D.node;
+      drain_replay ~rng:(seeded_rng seed) a.D.node;
       ignore (Node.restart b.D.node ~now:1000. : _ list * _);
-      check_digests ~msg:"law1" a.D.node b.D.node;
+      check_digests ~msg:"restart_begin + replay_step" app ~reference a;
+      check_digests ~msg:"restart" app ~reference b;
+      check_oracle ~k:0 ~n:1 a.D.trace;
+      check_oracle ~k:0 ~n:1 b.D.trace;
       true)
 
-let law_ckpt_prefix_eq_oneshot =
-  Util.qtest ~count:80 "Part_ckpt prefix + remainder == one-shot replay" gen_case
+let law_partitioned_eq_serial =
+  law_replay_eq_twin ~name:"partitioned replay == serial run of the stable prefix"
+    App.app kv_op
+
+let law_unpartitioned_eq_serial =
+  law_replay_eq_twin ~name:"one-partition replay == serial run of the stable prefix"
+    Counter.app counter_op
+
+let law_ckpt_prefix_eq_twin =
+  Util.qtest ~count:80 "Part_ckpt prefix + remainder == never-crashed twin" gen_case
     (fun (ops, split, seed) ->
+      let ops = List.map kv_op ops in
       let split = min split (List.length ops) in
       let prefix = List.filteri (fun i _ -> i < split) ops in
       let rest = List.filteri (fun i _ -> i >= split) ops in
-      let a = D.make (config ()) App.app in
-      let b = D.make (config ()) App.app in
-      (* A snapshots every dirty partition after the prefix; B never
-         snapshots.  Same injects, same stability points on both. *)
-      feed a prefix ~flush_at:split;
-      feed b prefix ~flush_at:split;
-      let rec snap n =
-        if n > 0 then begin
-          let did, _, _ = Node.partition_checkpoint a.D.node ~now:500. in
-          if did then snap (n - 1)
-        end
+      let reference = twin App.app ops ~stable:(List.length ops) in
+      (* A and B snapshot every dirty partition after the prefix, then
+         take the rest; A recovers in the background, B synchronously. *)
+      let snapshotted () =
+        let d = D.make (config ()) App.app in
+        feed d prefix ~flush_at:split;
+        let rec snap n =
+          if n > 0 then begin
+            let did, _, _ = Node.partition_checkpoint d.D.node ~now:500. in
+            if did then snap (n - 1)
+          end
+        in
+        snap parts;
+        List.iteri (fun i msg -> D.inject d ~seq:(split + i + 1) msg) rest;
+        D.flush d;
+        D.crash d;
+        d
       in
-      snap parts;
-      List.iteri
-        (fun i (ki, v) ->
-          let seq = split + i + 1 in
-          D.inject a ~seq (App.Put { key = key_of ki; value = v });
-          D.inject b ~seq (App.Put { key = key_of ki; value = v }))
-        rest;
-      D.flush a;
-      D.flush b;
-      D.crash a;
-      D.crash b;
+      let a = snapshotted () in
+      let b = snapshotted () in
       ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
-      let state = ref seed in
-      let rng bound =
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state mod bound
-      in
-      drain_replay ~rng a.D.node;
+      drain_replay ~rng:(seeded_rng seed) a.D.node;
       ignore (Node.restart b.D.node ~now:1000. : _ list * _);
-      check_digests ~msg:"law2" a.D.node b.D.node;
+      check_digests ~msg:"restart_begin + replay_step" App.app ~reference a;
+      check_digests ~msg:"restart" App.app ~reference b;
+      check_oracle ~k:0 ~n:1 a.D.trace;
+      check_oracle ~k:0 ~n:1 b.D.trace;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -204,10 +238,93 @@ let test_on_demand_timeline () =
   in
   Alcotest.(check bool) "Recovery_completed traced" true completed
 
+(* ------------------------------------------------------------------ *)
+(* Records delivered inside a recovery window                          *)
+
+(* Two keys owned by [pid] (for [n] processes) in different recovery
+   partitions, and a partition-A-only replay window: Put A, B, A, B; crash;
+   come back with [restart_begin]; replay only A's two records; Put A live
+   while B is still pending (that record is window-marked: its live digest
+   covers a state where B is still at its checkpoint); finish; flush. *)
+let window_prefix d ~n =
+  let owned i = App.owner ~n (key_of i) = Node.pid d.D.node in
+  let rec find i pred =
+    if owned i && pred (key_of i) then key_of i else find (i + 1) pred
+  in
+  let ka = find 0 (fun _ -> true) in
+  let pa = App.part_of_key ka in
+  let kb = find 0 (fun k -> App.part_of_key k <> pa) in
+  List.iteri
+    (fun i key -> D.inject d ~seq:(i + 1) (App.Put { key; value = i }))
+    [ ka; kb; ka; kb ];
+  D.flush d;
+  D.crash d;
+  D.absorb d (Node.restart_begin d.D.node ~now:(D.tick d));
+  let executed, actions, cost =
+    Node.replay_step d.D.node ~now:(D.tick d) ~prefer:pa ~budget:2 ()
+  in
+  Alcotest.(check int) "A's records replayed" 2 executed;
+  D.absorb d (actions, cost);
+  D.inject d ~seq:5 (App.Put { key = ka; value = 9 });
+  drain_replay d.D.node;
+  D.flush d
+
+let test_window_record_restart () =
+  let d = D.make (config ()) App.app in
+  window_prefix d ~n:1;
+  D.crash d;
+  D.restart d;
+  check_oracle ~k:0 ~n:1 d.D.trace
+
+let test_window_record_rollback () =
+  let config = Recovery.Config.k_optimistic ~timing:Util.quiet_timing ~n:2 ~k:2 () in
+  let trace = Trace.create () in
+  let p0 = D.make ~trace config App.app in
+  let p1 = D.make ~pid:1 ~trace config App.app in
+  window_prefix p0 ~n:2;
+  (* P1 applies four Puts to a key it owns, flushing after the third, so
+     its interval (0,5) is volatile.  Each Put replicates to P0. *)
+  p1.D.clock <- p0.D.clock;
+  let kc =
+    let rec find i = if App.owner ~n:2 (key_of i) = 1 then key_of i else find (i + 1) in
+    find 0
+  in
+  for i = 1 to 4 do
+    D.inject p1 ~seq:i (App.Put { key = kc; value = i });
+    if i = 3 then D.flush p1
+  done;
+  let replica = List.nth (D.released p1) 3 in
+  Alcotest.(check (list (pair int Util.entry)))
+    "replica depends on P1's volatile interval"
+    [ (1, Util.e ~inc:0 ~sii:5) ]
+    replica.Recovery.Wire.dep;
+  p0.D.clock <- p1.D.clock;
+  D.packet p0 (Recovery.Wire.App replica);
+  D.flush p0;
+  (* P1 fails, losing (0,5); its announcement ends incarnation 0 at (0,4)
+     and rolls P0 back past the replica, replaying the window record. *)
+  p1.D.clock <- p0.D.clock;
+  D.crash p1;
+  D.clear p1;
+  D.restart p1;
+  let ann = List.hd (D.announcements p1) in
+  Alcotest.(check Util.entry)
+    "announced ending" (Util.e ~inc:0 ~sii:4) ann.Recovery.Wire.ending;
+  p0.D.clock <- p1.D.clock;
+  D.packet p0 (Recovery.Wire.Ann ann);
+  Alcotest.(check int)
+    "P0 rolled back" 1 (Node.metrics p0.D.node).Recovery.Metrics.induced_rollbacks;
+  check_oracle ~k:2 ~n:2 trace
+
 let suite =
   [
     law_partitioned_eq_serial;
-    law_ckpt_prefix_eq_oneshot;
+    law_unpartitioned_eq_serial;
+    law_ckpt_prefix_eq_twin;
     Alcotest.test_case "on-demand timeline: serve early, park until replayed"
       `Quick test_on_demand_timeline;
+    Alcotest.test_case "window-marked record: restart replays it uncertified" `Quick
+      test_window_record_restart;
+    Alcotest.test_case "window-marked record: rollback replays it uncertified" `Quick
+      test_window_record_rollback;
   ]

@@ -380,8 +380,8 @@ let test_latency_tracker_equivalence () =
   in
   bracket "p50" stats.Shardkv.Service.p50 (exact_pct 0.5);
   bracket "p99" stats.Shardkv.Service.p99 (exact_pct 0.99);
-  (* The deprecated wrapper is the same computation over the service's
-     tracker; on a fresh tracker fed the same trace it must agree. *)
+  (* The statistics are a function of the issues and the trace alone: a
+     fresh tracker fed the same ones must agree. *)
   let lat2 = Shardkv.Service.Latency.create ~epoch ~time_scale () in
   for i = 0 to n - 1 do
     Shardkv.Service.Latency.issue lat2 ~tag:(Fmt.str "get:%d" i)

@@ -37,8 +37,7 @@ module Driver = struct
     mutable clock : float;
   }
 
-  let make ?(pid = 0) ?store_dir config app =
-    let trace = Recovery.Trace.create () in
+  let make ?(pid = 0) ?store_dir ?(trace = Recovery.Trace.create ()) config app =
     let node = Node.create ~config ~pid ~app ?store_dir ?obs:None ~trace in
     { node; trace; outbox = []; clock = 0. }
 
