@@ -347,33 +347,9 @@ type enabled = {
   at : float;
   pid : int option;
   blocked : bool;
-  label : string;
   log_write : bool;
   log_read : bool;
 }
-
-let describe_event = function
-  | Packet { src; dst; packet } ->
-    Fmt.str "packet %s P%d->P%d" (Wire.packet_kind packet) src dst
-  | Timer { pid; kind; _ } ->
-    Fmt.str "timer %s P%d"
-      (match kind with
-      | Flush_timer -> "flush"
-      | Checkpoint_timer -> "checkpoint"
-      | Notice_timer -> "notice"
-      | Retransmit_timer -> "retransmit")
-      pid
-  | Inject { dst; seq; retry; _ } ->
-    Fmt.str "inject #%d->P%d%s" seq dst (if retry then " (retry)" else "")
-  | Perform { pid; _ } -> Fmt.str "perform P%d" pid
-  | Crash pid -> Fmt.str "crash P%d" pid
-  | Restart pid -> Fmt.str "restart P%d" pid
-  | Arm_fsync_failure pid -> Fmt.str "arm-fsync-failure P%d" pid
-  | Kill { pid; _ } -> Fmt.str "kill P%d" pid
-  | Respawn pid -> Fmt.str "respawn P%d" pid
-  | Join_node pid -> Fmt.str "join P%d" pid
-  | Retire_node pid -> Fmt.str "retire P%d" pid
-  | Arm_disk_full { pid; rounds } -> Fmt.str "arm-disk-full P%d (%d)" pid rounds
 
 let enabled_events t =
   List.map
@@ -384,7 +360,6 @@ let enabled_events t =
         at;
         pid;
         blocked = (match pid with Some p -> t.down.(p) | None -> false);
-        label = describe_event ev;
         log_write = (match ev with Inject { retry = false; _ } -> true | _ -> false);
         log_read =
           (match ev with
@@ -469,6 +444,37 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
   in
   Array.iteri (fun pid _ -> arm_timers t ~pid) nodes;
   t
+
+(* Every field is listed for the same reason as in [Node.copy]: a new
+   mutable field must say how it forks. *)
+let copy t =
+  if t.store_root <> None then invalid_arg "Cluster.copy: the cluster owns store files";
+  if t.sched <> None then invalid_arg "Cluster.copy: a custom scheduler cannot be forked";
+  let trace_ = Recovery.Trace.copy t.trace_ in
+  {
+    cfg = t.cfg;
+    app = t.app;
+    store_root = None;
+    storage_rng = None;
+    sched = None;
+    nodes = Array.map (Node.copy ~trace:trace_) t.nodes;
+    queue = Sim.Event_queue.copy t.queue;
+    net = Netmodel.copy t.net;
+    trace_;
+    horizon = t.horizon;
+    now = t.now;
+    auto_timers_ = t.auto_timers_;
+    next_free = Array.copy t.next_free;
+    down = Array.copy t.down;
+    retired_pids = t.retired_pids;
+    held = t.held;
+    inject_seq = t.inject_seq;
+    client_log = t.client_log;
+    busy_time = t.busy_time;
+    dead_metrics = List.map Recovery.Metrics.copy t.dead_metrics;
+    storage_reports_ = t.storage_reports_;
+    fault_notes = t.fault_notes;
+  }
 
 let inject_at t ~time ~dst payload =
   let seq = t.inject_seq + 1 in

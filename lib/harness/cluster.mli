@@ -36,6 +36,16 @@ val create :
     stream separate from the timing jitter, so the benign plan reproduces
     historical runs bit-for-bit. *)
 
+val copy : ('state, 'msg) t -> ('state, 'msg) t
+(** A fork of the cluster: an independent cluster in the same state —
+    nodes, pending events (with their sequence numbers), network model,
+    random streams and a copy of the trace — so stepping either leaves the
+    other untouched.  Immutable values are shared, which makes a copy cheap
+    next to rebuilding the state by replaying the schedule that reached it.
+    @raise Invalid_argument if the cluster was created with [~store_root]
+    (its nodes own files) or a custom [~scheduler] (whose state is
+    opaque). *)
+
 (** {1 Scheduling inputs} *)
 
 val inject_at : ('state, 'msg) t -> time:float -> dst:int -> 'msg -> unit
@@ -158,7 +168,6 @@ type enabled = {
           injection and restart events, which the model checker treats as
           dependent on everything *)
   blocked : bool;  (** target process is currently down *)
-  label : string;  (** canonical human-readable description *)
   log_write : bool;
       (** appends the outside world's request log (a fresh client
           injection) *)

@@ -31,7 +31,7 @@ let pp_result ppf r =
     "@[<v>n=%d K=%d messages=%d crashes=%d flushes=%d seed=%d:@,\
      %d schedule(s) certified%s, %d truncated by bounds@,\
      POR: %d candidate(s) slept, %d subtree(s) fully pruned@,\
-     %d transition(s) executed + %d replayed (stateless-DFS overhead)@,\
+     %d transition(s) executed@,\
      max depth %d, widest choice point %d, max Theorem-4 risk %d@,\
      violations: %d@]"
     r.params.Schedule.n r.params.Schedule.k r.params.Schedule.messages
@@ -39,7 +39,7 @@ let pp_result ppf r =
     r.schedules
     (if r.complete then " (state space exhausted)" else "")
     r.truncated r.sleep_pruned r.sleep_terminals r.transitions
-    r.replayed_transitions r.max_depth_seen r.max_enabled r.max_risk
+    r.max_depth_seen r.max_enabled r.max_risk
     (List.length r.violations)
 
 (* ------------------------------------------------------------------ *)
@@ -116,7 +116,7 @@ let independent (a : Cluster.enabled) (b : Cluster.enabled) =
   && not (a.Cluster.log_read && b.Cluster.log_write)
 
 (* ------------------------------------------------------------------ *)
-(* Stateless sleep-set DFS *)
+(* Stateful sleep-set DFS *)
 
 let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
     ?(keep_violations = 16) (p : Schedule.explore_params) =
@@ -125,7 +125,6 @@ let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
   and sleep_pruned = ref 0
   and sleep_terminals = ref 0
   and transitions = ref 0
-  and replayed = ref 0
   and max_depth_seen = ref 0
   and max_enabled = ref 0
   and max_risk = ref 0
@@ -150,19 +149,6 @@ let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
       in
       violations := (sched, notes) :: !violations
     end
-  in
-  (* Rebuild the cluster at a prefix by replaying the recorded positions —
-     the simulator is deterministic, so this reproduces the exact state
-     (including event-queue sequence numbers, which sleep sets key on). *)
-  let rebuild prefix_rev =
-    let cluster = build ~breakage p in
-    List.iter
-      (fun pos ->
-        incr replayed;
-        if not (Cluster.step_nth cluster pos) then
-          failwith "Explore: replay diverged (position out of range)")
-      (List.rev prefix_rev);
-    cluster
   in
   let terminal cluster prefix_rev =
     incr schedules;
@@ -239,9 +225,12 @@ let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
                 let last_pid' =
                   match ev.Cluster.pid with Some _ as pid -> pid | None -> last_pid
                 in
-                (* Stateless DFS: every sibling but the last replays the
-                   prefix into a fresh cluster; the last reuses this one. *)
-                let cl = if i = n_adm - 1 then cluster else rebuild prefix_rev in
+                (* Every sibling but the last runs on a fork of this
+                   state (earlier siblings ran on forks too, so [cluster]
+                   is still untouched); the last consumes it.  The fork
+                   keeps event-queue sequence numbers, which sleep sets
+                   key on. *)
+                let cl = if i = n_adm - 1 then cluster else Cluster.copy cluster in
                 incr transitions;
                 match Cluster.step_nth cl pos with
                 | true ->
@@ -269,7 +258,7 @@ let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
     sleep_pruned = !sleep_pruned;
     sleep_terminals = !sleep_terminals;
     transitions = !transitions;
-    replayed_transitions = !replayed;
+    replayed_transitions = 0;
     max_depth_seen = !max_depth_seen;
     max_enabled = !max_enabled;
     max_risk = !max_risk;

@@ -1,14 +1,15 @@
-(** Bounded stateless model checking of the recovery protocol.
+(** Bounded stateful model checking of the recovery protocol.
 
     {!run} drives the deterministic simulator through {e every} schedule
     of a small configuration — a handful of client messages, crashes and
     flushes, all enabled from time zero — and runs the offline causality
     oracle ({!Oracle.check}, which includes the Theorem-4 K-risk bound) on
-    every complete execution.  Exploration is stateless depth-first
-    search: a prefix is re-executed from scratch for every sibling branch
-    (the cluster has no snapshot/undo), with sleep-set partial-order
-    reduction so that interleavings differing only in the order of
-    commuting deliveries are certified once, not once per permutation.
+    every complete execution.  Exploration is stateful depth-first search:
+    at each choice point every sibling branch but the last runs on a fork
+    of the current state ({!Cluster.copy}) and the last consumes the state
+    itself, so no schedule prefix is ever re-executed.  Sleep-set
+    partial-order reduction certifies interleavings that differ only in
+    the order of commuting deliveries once, not once per permutation.
 
     Soundness of the reduction rests on the scenario construction
     ({!build}): every cost and interval is zero, the network override pins
@@ -44,8 +45,9 @@ type result = {
           subtrees proved redundant *)
   transitions : int;  (** events executed on live branches *)
   replayed_transitions : int;
-      (** events re-executed while rebuilding prefixes (the stateless-DFS
-          overhead) *)
+      (** events re-executed to rebuild a search state.  Always 0: the
+          search forks states instead of replaying prefixes.  Kept so that
+          reports of the replay share stay comparable with older runs. *)
   max_depth_seen : int;
   max_enabled : int;  (** widest choice point encountered *)
   max_risk : int;  (** largest Theorem-4 risk over all executions *)
@@ -72,7 +74,9 @@ val build :
     crashes and [flushes] explicit flushes, all scheduled at time 0 —
     every ordering decision is left to the scheduler.  Both {!run} and
     {!replay} build scenarios only through this function, which is what
-    makes a recorded choice sequence replayable byte-for-byte. *)
+    makes a recorded choice sequence replayable byte-for-byte.  The
+    cluster has no store root and no custom scheduler, so {!Cluster.copy}
+    can fork it. *)
 
 val run :
   ?breakage:Recovery.Config.breakage ->

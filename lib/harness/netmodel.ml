@@ -70,6 +70,15 @@ let create ~n ~timing ~rng ?fault_rng ?(plan = benign) ?override () =
     partition_queued = 0;
   }
 
+let copy t =
+  {
+    t with
+    rng = Sim.Rng.copy t.rng;
+    fault_rng = Sim.Rng.copy t.fault_rng;
+    channel_last = Array.map Array.copy t.channel_last;
+    counts = Hashtbl.copy t.counts;
+  }
+
 (* Widen the per-channel FIFO matrix when a joiner brings a pid the
    cluster was not created with.  New channels start at 0 (no previous
    arrival), exactly like the channels of the original membership. *)

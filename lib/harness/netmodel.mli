@@ -66,6 +66,10 @@ val create :
     streams separate is what makes a benign plan bit-identical to the
     timing-only model. *)
 
+val copy : t -> t
+(** An independent model in the same state: both random streams, the
+    per-channel FIFO clocks and the traffic and fault counters. *)
+
 val transit :
   t -> now:float -> src:int -> dst:int -> kind:string -> entries:int -> float
 (** Absolute arrival time for a packet handed to the network at [now],

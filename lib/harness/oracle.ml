@@ -41,7 +41,7 @@ let dependencies ~n trace ~pid interval =
   (* Lightweight forward pass: rebuild only the dependency sets.  Chains
      are implicit — an interval's predecessor and sender are named by the
      trace events, so a single table suffices. *)
-  let table : (ikey, Multi_dep.t) Hashtbl.t = Hashtbl.create 256 in
+  let table : (ikey, Multi_dep.t) Hashtbl.t = Hashtbl.create (Trace.length trace) in
   let chains : Entry.t list array = Array.make n [] (* newest first *) in
   let add pid interval ~pred_dep ~sender_dep =
     let dep = Multi_dep.create ~n in
@@ -89,10 +89,15 @@ let dependencies ~n trace ~pid interval =
 let check ?k ~n trace =
   let violations = ref [] in
   let violation fmt = Fmt.kstr (fun s -> violations := s :: !violations) fmt in
-  let table : (ikey, info) Hashtbl.t = Hashtbl.create 1024 in
+  (* Sized from the trace: each table holds at most one binding per event,
+     and a model-checking run calls this on tens of thousands of short
+     traces.  Lookups and the order-independent fold below do not depend
+     on the initial size. *)
+  let size = Trace.length trace in
+  let table : (ikey, info) Hashtbl.t = Hashtbl.create size in
   let chains : ikey list array = Array.make n [] (* newest first *) in
-  let lost_set : (ikey, unit) Hashtbl.t = Hashtbl.create 64 in
-  let sent : (Wire.identity, ikey) Hashtbl.t = Hashtbl.create 256 in
+  let lost_set : (ikey, unit) Hashtbl.t = Hashtbl.create (size / 16) in
+  let sent : (Wire.identity, ikey) Hashtbl.t = Hashtbl.create size in
   let released = ref [] in
   let committed = ref [] in
   let undone_count = ref 0 in

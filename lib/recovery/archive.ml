@@ -34,6 +34,12 @@ type 'msg t = {
 
 let create () = { tbl = Hashtbl.create 64; next_seq = 0; ticks = 0 }
 
+(* Items carry mutable backoff state, so each is copied too. *)
+let copy t =
+  let tbl = Hashtbl.copy t.tbl in
+  Hashtbl.filter_map_inplace (fun _ item -> Some { item with seq = item.seq }) tbl;
+  { t with tbl }
+
 let length t = Hashtbl.length t.tbl
 
 let mem t id = Hashtbl.mem t.tbl id

@@ -10,6 +10,10 @@ type 'msg t
 
 val create : unit -> 'msg t
 
+val copy : 'msg t -> 'msg t
+(** An independent archive with the same messages, order and backoff
+    state. *)
+
 val length : 'msg t -> int
 
 val mem : 'msg t -> Wire.identity -> bool

@@ -26,6 +26,16 @@ type t = {
   mutable part_ckpt_dropped : int;
 }
 
+let copy m =
+  {
+    m with
+    blocked_time = Sim.Summary.copy m.blocked_time;
+    release_dep_entries = Sim.Summary.copy m.release_dep_entries;
+    wire_vector_size = Sim.Summary.copy m.wire_vector_size;
+    delivery_delay = Sim.Summary.copy m.delivery_delay;
+    output_latency = Sim.Summary.copy m.output_latency;
+  }
+
 let create () =
   {
     deliveries = 0;

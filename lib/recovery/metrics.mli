@@ -45,3 +45,6 @@ type t = {
 }
 
 val create : unit -> t
+
+val copy : t -> t
+(** An independent record: the counters and a copy of every summary. *)

@@ -1936,6 +1936,69 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
      Figure 3's Restart, now from real files. *)
   t
 
+(* Every field is listed so that a new mutable field cannot be shared
+   between a node and its copy by accident: the compiler asks where it
+   goes.  Immutable values (app state, log records, checkpoints,
+   announcements, replay items) are shared. *)
+let copy ~trace t =
+  let copy_tbl tbl f =
+    let tbl = Hashtbl.copy tbl in
+    Hashtbl.filter_map_inplace (fun _ v -> Some (f v)) tbl;
+    tbl
+  in
+  let copy_assembly asm =
+    { members = copy_tbl asm.members (fun st -> { st with m_stable = st.m_stable }) }
+  in
+  let copy_stage st = { st with rs_queues = Array.map Queue.copy st.rs_queues } in
+  let copy_recovery rc =
+    {
+      rc with
+      rc_stages = List.map copy_stage rc.rc_stages;
+      rc_part_pending = Array.copy rc.rc_part_pending;
+    }
+  in
+  {
+    cfg = t.cfg;
+    pid = t.pid;
+    n = t.n;
+    app_n = t.app_n;
+    app = t.app;
+    trace;
+    metrics = Metrics.copy t.metrics;
+    store = Store.copy t.store;
+    up = t.up;
+    current = t.current;
+    tdv = Dep_vector.copy t.tdv;
+    state = t.state;
+    log_tab = Array.copy t.log_tab;
+    iet = Array.copy t.iet;
+    max_ann_inc = Array.copy t.max_ann_inc;
+    recv_buf = t.recv_buf;
+    send_buf = List.map (fun ps -> { ps with ps_tdv = Dep_vector.copy ps.ps_tdv }) t.send_buf;
+    out_buf = List.map (fun po -> { po with po_tdv = Dep_vector.copy po.po_tdv }) t.out_buf;
+    delivered = Hashtbl.copy t.delivered;
+    stubs = Hashtbl.copy t.stubs;
+    direct_parents = Hashtbl.copy t.direct_parents;
+    assemblies = copy_tbl t.assemblies copy_assembly;
+    released_ids = Hashtbl.copy t.released_ids;
+    buffered_send_ids = Hashtbl.copy t.buffered_send_ids;
+    buffered_out_ids = Hashtbl.copy t.buffered_out_ids;
+    committed_ids = Hashtbl.copy t.committed_ids;
+    archive = Archive.copy t.archive;
+    anns_seen = Hashtbl.copy t.anns_seen;
+    anns_order = t.anns_order;
+    unacked = t.unacked;
+    send_idx = t.send_idx;
+    out_idx = t.out_idx;
+    frontier = t.frontier;
+    outputs_log = t.outputs_log;
+    ckpt_ops = t.ckpt_ops;
+    actions = t.actions;
+    recovery = Option.map copy_recovery t.recovery;
+    part_dirty = Array.copy t.part_dirty;
+    retired = Hashtbl.copy t.retired;
+  }
+
 let with_cost t f =
   let sync0 = Store.sync_writes t.store in
   let del0 = t.metrics.deliveries in

@@ -48,6 +48,10 @@ type t = { mutable entries : entry list (* newest first *); mutable next_seq : i
 
 let create () = { entries = []; next_seq = 0 }
 
+(* Entries are immutable and kept newest first, so a copy shares the whole
+   list and the two traces diverge only in what is added afterwards. *)
+let copy t = { entries = t.entries; next_seq = t.next_seq }
+
 let add t ~time ev =
   t.entries <- { time; seq = t.next_seq; ev } :: t.entries;
   t.next_seq <- t.next_seq + 1

@@ -65,6 +65,9 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent trace with the same entries; O(1). *)
+
 val add : t -> time:float -> event -> unit
 
 val events : t -> entry list

@@ -11,6 +11,8 @@ let cmp a b =
 
 let create () = { heap = Heap.create ~cmp; next_seq = 0 }
 
+let copy t = { heap = Heap.copy t.heap; next_seq = t.next_seq }
+
 let schedule t ~time payload =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Event_queue.schedule: time must be finite and non-negative";

@@ -7,6 +7,10 @@ type 'a t
 
 val create : unit -> 'a t
 
+val copy : 'a t -> 'a t
+(** An independent queue with the same pending events, sequence numbers
+    and next sequence number; payloads are shared, not copied. *)
+
 val schedule : 'a t -> time:float -> 'a -> unit
 (** Enqueue an event at absolute simulated time [time] (must be finite and
     non-negative). *)

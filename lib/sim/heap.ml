@@ -75,6 +75,8 @@ let pop_exn t =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
+let copy t = { t with data = Array.copy t.data }
+
 let clear t =
   t.data <- [||];
   t.size <- 0

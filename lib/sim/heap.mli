@@ -20,6 +20,9 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
+val copy : 'a t -> 'a t
+(** An independent heap holding the same elements (shared, not copied). *)
+
 val clear : 'a t -> unit
 
 val to_list : 'a t -> 'a list

@@ -19,6 +19,10 @@ let create () =
     max = Float.neg_infinity;
   }
 
+(* The sample list is immutable and the sorted cache is never written
+   after it is built, so a shallow copy is independent. *)
+let copy t = { t with n = t.n }
+
 let add t x =
   t.samples <- x :: t.samples;
   t.sorted <- None;

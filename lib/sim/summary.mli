@@ -8,6 +8,9 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent summary with the same samples. *)
+
 val add : t -> float -> unit
 
 val add_int : t -> int -> unit

@@ -33,6 +33,10 @@ module Mem = struct
       degraded_flushes = 0;
     }
 
+  (* Logs and checkpoint lists are immutable once built; only the volatile
+     queue is mutated in place. *)
+  let copy t = { t with volatile = Queue.copy t.volatile }
+
   let append_volatile t r = Queue.add r t.volatile
 
   (* Critical-path flush (checkpoints, rollback): models a writer that
@@ -186,6 +190,10 @@ type ('ckpt, 'log, 'ann) t =
   | Disk of ('ckpt, 'log, 'ann) Disk.t
 
 let create () = Mem (Mem.create ())
+
+let copy = function
+  | Mem m -> Mem (Mem.copy m)
+  | Disk _ -> invalid_arg "Stable_store.copy: a durable store owns files"
 
 let open_durable ~dir ?segment_bytes ?obs () =
   let store, report = Disk.open_ ~dir ?segment_bytes ?obs () in

@@ -39,6 +39,12 @@ type ('ckpt, 'log, 'ann) t
 val create : unit -> ('ckpt, 'log, 'ann) t
 (** A fresh in-memory store. *)
 
+val copy : ('ckpt, 'log, 'ann) t -> ('ckpt, 'log, 'ann) t
+(** An independent in-memory store with the same contents; records and
+    checkpoints are shared, not copied.
+    @raise Invalid_argument on a durable store, whose files cannot be
+    forked. *)
+
 (** {1 Durable backend} *)
 
 type open_report = Durable.Durable_store.open_report = {

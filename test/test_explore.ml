@@ -19,8 +19,11 @@ let test_exhausts_and_certifies () =
      must show up here, not only in the benchmark's schedule count. *)
   Alcotest.(check int) "schedules" 3605 r.Explore.schedules;
   Alcotest.(check int) "pruned subtrees" 1863 r.Explore.sleep_terminals;
-  Alcotest.(check bool) "POR pruned more than one schedule" true
-    (r.Explore.sleep_pruned > 1);
+  (* A fork that leaked state between siblings would move these. *)
+  Alcotest.(check int) "slept candidates" 4957 r.Explore.sleep_pruned;
+  Alcotest.(check int) "transitions" 15485 r.Explore.transitions;
+  Alcotest.(check int) "max depth" 13 r.Explore.max_depth_seen;
+  Alcotest.(check int) "no prefix replay" 0 r.Explore.replayed_transitions;
   Alcotest.(check bool) "risk within K" true (r.Explore.max_risk <= tiny.Schedule.k)
 
 let test_exploration_deterministic () =
@@ -191,6 +194,228 @@ let test_earliest_scheduler_transparent () =
   let default = run None and earliest = run (Some (Sim.Scheduler.earliest ())) in
   Alcotest.(check bool) "bit-identical statistics" true (default = earliest)
 
+(* ------------------------------------------------------------------ *)
+(* Forking a cluster: the state the stateful search branches from      *)
+
+module Cluster = Harness.Cluster
+module Node = Recovery.Node
+module Trace = Recovery.Trace
+module Kv = App_model.Kvstore_app
+
+(* The benchmark's configuration: big enough for crashes, rollbacks and
+   held packets to land mid-schedule. *)
+let explore33 : Schedule.explore_params =
+  { Schedule.n = 3; k = 1; messages = 3; crashes = 1; flushes = 1; seed = 1 }
+
+(* Everything a node exposes, rendered: protocol state, application
+   digest, log and sync-area counters, per-process tables and recovery
+   progress. *)
+let node_digest (app : (_, _) App_model.App_intf.t) nd =
+  let rows f =
+    String.concat ";"
+      (List.init (Node.membership_n nd) (fun j -> Fmt.str "%a" Depend.Entry_set.pp (f nd j)))
+  in
+  Fmt.str "%a app=%d log=%d+%d/%d sync=%d flushes=%d outs=%d pending=%d log=[%s] iet=[%s]"
+    Node.pp_state nd
+    (app.App_model.App_intf.digest (Node.app_state nd))
+    (Node.stable_log_length nd) (Node.volatile_log_length nd) (Node.live_log_records nd)
+    (Node.sync_writes nd) (Node.flushes nd)
+    (List.length (Node.committed_outputs nd))
+    (Node.recovery_pending nd) (rows Node.log_row) (rows Node.iet_row)
+
+(* An immutable snapshot of a cluster: later steps cannot reach into it. *)
+type snap = {
+  events : Trace.entry list;
+  digests : string list;
+  metrics : Recovery.Metrics.t list;
+  pending : (int * float * int option * bool) list;
+  stats : Cluster.stats;
+}
+
+let snap app c =
+  let nodes = Array.to_list (Cluster.nodes c) in
+  {
+    events = Trace.events (Cluster.trace c);
+    digests = List.map (node_digest app) nodes;
+    metrics = List.map (fun nd -> Recovery.Metrics.copy (Node.metrics nd)) nodes;
+    pending =
+      List.map
+        (fun ev -> Cluster.(ev.key, ev.at, ev.pid, ev.blocked))
+        (Cluster.enabled_events c);
+    stats = Cluster.stats c;
+  }
+
+let check_snap ~msg expected actual =
+  Alcotest.(check int) (msg ^ ": trace length") (List.length expected.events)
+    (List.length actual.events);
+  Alcotest.(check bool) (msg ^ ": trace events") true (expected.events = actual.events);
+  Alcotest.(check (list string)) (msg ^ ": node digests") expected.digests actual.digests;
+  Alcotest.(check bool) (msg ^ ": node metrics") true (expected.metrics = actual.metrics);
+  Alcotest.(check bool) (msg ^ ": pending events") true (expected.pending = actual.pending);
+  Alcotest.(check bool) (msg ^ ": cluster stats") true (expected.stats = actual.stats)
+
+let step_exn c pos = if not (Cluster.step_nth c pos) then Alcotest.failf "step %d vanished" pos
+
+(* Execute one uniformly chosen runnable event; its position, or [None]
+   when nothing is runnable. *)
+let random_step rng c =
+  let runnable =
+    List.concat
+      (List.mapi
+         (fun i ev -> if ev.Cluster.blocked then [] else [ i ])
+         (Cluster.enabled_events c))
+  in
+  match runnable with
+  | [] -> None
+  | _ ->
+    let pos = List.nth runnable (Sim.Rng.int rng (List.length runnable)) in
+    step_exn c pos;
+    Some pos
+
+let rec walk ?(limit = max_int) rng c =
+  if limit = 0 then []
+  else
+    match random_step rng c with
+    | None -> []
+    | Some pos -> pos :: walk ~limit:(limit - 1) rng c
+
+let gen_walk = QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 20))
+
+let law_copy_eq_rebuild =
+  Util.qtest ~count:60 "copy + continuation == rebuild + prefix replay" gen_walk
+    (fun (seed, cut) ->
+      let rng = Sim.Rng.create seed in
+      let orig = Explore.build explore33 in
+      let prefix = walk ~limit:cut rng orig in
+      let fork = Cluster.copy orig in
+      let suffix = walk rng fork in
+      let rebuilt = Explore.build explore33 in
+      List.iter (step_exn rebuilt) (prefix @ suffix);
+      check_snap ~msg:"fork vs rebuilt" (snap Counter.app rebuilt) (snap Counter.app fork);
+      Alcotest.(check bool) "fork's trace certified" true
+        (Harness.Oracle.ok
+           (Harness.Oracle.check ~k:explore33.Schedule.k ~n:explore33.Schedule.n
+              (Cluster.trace fork)));
+      true)
+
+(* Fork [orig] (reached from [make ()] by [prefix]), step the fork and
+   then the original with [walk], and check that neither run disturbed the
+   other: the snapshots taken between the runs hold, and each cluster ends
+   where a rebuilt cluster fed the same operations ends.  The rebuilt
+   comparison also catches hidden state a snapshot cannot see (a shared
+   vector inside a buffered send, a shared replay queue). *)
+let check_fork_isolated ~app ~make ~apply ~prefix ~walk orig =
+  let fork = Cluster.copy orig in
+  let at_fork = snap app orig in
+  check_snap ~msg:"fresh fork" at_fork (snap app fork);
+  let fork_ops = walk fork in
+  check_snap ~msg:"original after stepping the fork" at_fork (snap app orig);
+  let fork_done = snap app fork in
+  let orig_ops = walk orig in
+  check_snap ~msg:"fork after stepping the original" fork_done (snap app fork);
+  let rebuilt ops =
+    let c = make () in
+    List.iter (apply c) (prefix @ ops);
+    snap app c
+  in
+  check_snap ~msg:"fork vs rebuilt" (rebuilt fork_ops) fork_done;
+  check_snap ~msg:"original vs rebuilt" (rebuilt orig_ops) (snap app orig)
+
+let law_copy_isolated =
+  Util.qtest ~count:100 "stepping a copy or its original leaves the other untouched"
+    gen_walk (fun (seed, cut) ->
+      let rng = Sim.Rng.create seed in
+      let make () = Explore.build explore33 in
+      let orig = make () in
+      let prefix = walk ~limit:cut rng orig in
+      check_fork_isolated ~app:Counter.app ~make ~apply:step_exn ~prefix
+        ~walk:(walk rng) orig;
+      true)
+
+(* A kvstore cluster with K = 0 (every send waits for stability), stopped
+   with P0 in background recovery: P0 crashed after its first flush and
+   came back through [restart_begin], so its replay queues are non-empty,
+   while sends of the unflushed second wave sit in the send buffers.  The
+   restart's actions are dropped: the laws below need a deterministic
+   state to fork, not a certified run. *)
+let kv_mid_recovery () =
+  let config = Config.k_optimistic ~timing:Util.quiet_timing ~n:3 ~k:0 () in
+  let c =
+    Cluster.create ~config ~app:Kv.app ~seed:5 ~auto_timers:false
+      ~net_override:(fun ~src:_ ~dst:_ ~packet_kind:_ -> Some 0.)
+      ()
+  in
+  let put time i =
+    Cluster.inject_at c ~time ~dst:(i mod 3) (Kv.Put { key = Fmt.str "k%d" i; value = i })
+  in
+  for i = 0 to 5 do put 0. i done;
+  for pid = 0 to 2 do Cluster.flush_at c ~time:10. ~pid done;
+  for i = 6 to 11 do put 20. i done;
+  Cluster.run_until c 25.;
+  let p0 = Cluster.node c 0 in
+  Node.crash p0 ~now:(Cluster.now c);
+  ignore (Node.restart_begin p0 ~now:(Cluster.now c) : _ list * _);
+  c
+
+type kv_op = Step of int | Replay of { prefer : int; budget : int }
+
+let apply_kv_op c = function
+  | Step pos -> step_exn c pos
+  | Replay { prefer; budget } ->
+    ignore
+      (Node.replay_step (Cluster.node c 0) ~now:(Cluster.now c) ~prefer ~budget ()
+        : int * _ list * _)
+
+(* Random continuation mixing event steps with P0's replay steps. *)
+let rec kv_walk rng c =
+  let recovering = Node.recovery_active (Cluster.node c 0) in
+  let apply op =
+    apply_kv_op c op;
+    op :: kv_walk rng c
+  in
+  if recovering && Sim.Rng.bool rng then
+    apply (Replay { prefer = Sim.Rng.int rng Kv.parts; budget = 1 + Sim.Rng.int rng 3 })
+  else
+    match random_step rng c with
+    | Some pos -> Step pos :: kv_walk rng c
+    | None when recovering -> apply (Replay { prefer = 0; budget = Kv.parts })
+    | None -> []
+
+let law_copy_mid_recovery =
+  Util.qtest ~count:60 "kvstore copied mid-recovery == rebuild + same ops"
+    QCheck2.Gen.(int_bound 1_000_000) (fun seed ->
+      let orig = kv_mid_recovery () in
+      Alcotest.(check bool) "P0 is mid-recovery" true
+        (Node.recovery_pending (Cluster.node orig 0) > 0);
+      Alcotest.(check bool) "sends are buffered" true
+        (Array.exists (fun nd -> Node.send_buffer_size nd > 0) (Cluster.nodes orig));
+      check_fork_isolated ~app:Kv.app ~make:kv_mid_recovery ~apply:apply_kv_op ~prefix:[]
+        ~walk:(kv_walk (Sim.Rng.create seed)) orig;
+      Alcotest.(check bool) "replay ran to completion" false
+        (Node.recovery_active (Cluster.node orig 0));
+      true)
+
+let test_copy_refuses_files_and_schedulers () =
+  let config = Config.k_optimistic ~n:2 ~k:1 () in
+  let root = Durable.Temp.fresh_dir ~prefix:"explore-copy" () in
+  Fun.protect
+    ~finally:(fun () -> Durable.Temp.rm_rf root)
+    (fun () ->
+      let c = Cluster.create ~config ~app:Counter.app ~store_root:root () in
+      Alcotest.check_raises "cluster over a store root"
+        (Invalid_argument "Cluster.copy: the cluster owns store files") (fun () ->
+          ignore (Cluster.copy c : _ Cluster.t));
+      let d = Util.Driver.make ~store_dir:(Filename.concat root "solo") config Counter.app in
+      Alcotest.check_raises "node over a durable store"
+        (Invalid_argument "Stable_store.copy: a durable store owns files") (fun () ->
+          ignore (Node.copy ~trace:(Trace.create ()) d.Util.Driver.node : _ Node.t)));
+  let c =
+    Cluster.create ~config ~app:Counter.app ~scheduler:(Sim.Scheduler.earliest ()) ()
+  in
+  Alcotest.check_raises "cluster with a custom scheduler"
+    (Invalid_argument "Cluster.copy: a custom scheduler cannot be forked") (fun () ->
+      ignore (Cluster.copy c : _ Cluster.t))
+
 let suite =
   [
     Alcotest.test_case "exhausts a tiny config, POR prunes, oracle clean" `Slow
@@ -212,4 +437,9 @@ let suite =
       test_chaos_to_schedule_replays;
     Alcotest.test_case "earliest scheduler is transparent" `Quick
       test_earliest_scheduler_transparent;
+    law_copy_eq_rebuild;
+    law_copy_isolated;
+    law_copy_mid_recovery;
+    Alcotest.test_case "copy refuses store files and custom schedulers" `Quick
+      test_copy_refuses_files_and_schedulers;
   ]
