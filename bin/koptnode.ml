@@ -119,14 +119,11 @@ let read_control wire fd =
           | Error _ -> None
           | Ok ctl -> Some ctl))))
 
-(* The node's protocol metrics are a single-threaded record bumped by the
+(* The node's protocol counters are a single-threaded record bumped by the
    main loop; rather than scatter registry calls through lib/recovery, a
    collect hook mirrors them into the daemon's registry whenever a
-   snapshot is taken (Stats scrape or the Quit-time metrics file).  The
-   latency summaries keep their raw samples, so the hook rebuilds exact
-   histograms — sum/min/max are exact, only the quantile estimates are
-   bucket-quantised.  Counter names carry the [_total] suffix the
-   exposition format uses throughout. *)
+   snapshot is taken (Stats scrape or the Quit-time metrics file).  Counter
+   names carry the [_total] suffix the exposition format uses throughout. *)
 let node_metric_counters : (string * (Recovery.Metrics.t -> int)) list =
   [
     ("deliveries_total", fun m -> m.Recovery.Metrics.deliveries);
@@ -145,16 +142,6 @@ let node_metric_counters : (string * (Recovery.Metrics.t -> int)) list =
     ("announcements_sent_total", fun m -> m.Recovery.Metrics.announcements_sent);
     ("acks_sent_total", fun m -> m.Recovery.Metrics.acks_sent);
     ("retransmissions_total", fun m -> m.Recovery.Metrics.retransmissions);
-  ]
-
-(* Histograms of the node's abstract-unit latency summaries (config time
-   units, not seconds — the bucket grid is unit-agnostic). *)
-let node_metric_summaries : (string * (Recovery.Metrics.t -> Sim.Summary.t)) list =
-  [
-    ("blocked_time", fun m -> m.Recovery.Metrics.blocked_time);
-    ("release_dep_entries", fun m -> m.Recovery.Metrics.release_dep_entries);
-    ("delivery_delay", fun m -> m.Recovery.Metrics.delivery_delay);
-    ("output_latency", fun m -> m.Recovery.Metrics.output_latency);
   ]
 
 let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
@@ -179,46 +166,55 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let writer = Trace_codec.open_writer trace_file in
   let mb = mailbox () in
   (* One registry for the whole process: the store (and its group-commit
-     layer), the transport, the main loop's phase spans and the
-     metrics-record bridge below all land in it, so a single Stats scrape
-     — or the Quit-time metrics file — is the full picture.  A [Crash]
-     respawn reuses it: the reopened store's counters continue rather
-     than reset, matching the incarnation-spanning metrics record. *)
+     layer), the transport, the main loop's phase spans, the counter
+     mirror and the trace-fed histograms below all land in it, so a single
+     Stats scrape — or the Quit-time metrics file — is the full picture. *)
   let obs = Obs.Registry.create () in
-  let node = ref (Node.create ~config ~pid ~app ~store_dir ~obs ~trace) in
-  (* Bridge the node's single-threaded metrics record into the registry
-     at collect time (see [node_metric_counters] above).  The hook reads
-     [!node] each collect, so it survives Crash respawns. *)
-  let bridge_counters =
+  let node = Node.create ~config ~pid ~app ~store_dir ~obs ~trace in
+  let mirrored =
     List.map
       (fun (name, read) -> (Obs.Registry.counter obs name, read))
       node_metric_counters
   in
-  let bridge_hists =
-    List.map
-      (fun (name, read) -> (Obs.Registry.histogram obs name, read))
-      node_metric_summaries
+  (* The per-event distributions live in the trace (send blocking,
+     piggyback size, receive-buffer wait, output-commit latency, in
+     abstract config units — the bucket grid is unit-agnostic).  Each
+     entry is observed once, as [sync] writes it to the trace file, so a
+     snapshot's histogram counts equal the mirrored [releases_total],
+     [deliveries_total] and [outputs_committed_total]. *)
+  let hist = Obs.Registry.histogram obs in
+  let h_blocked = hist "blocked_time" in
+  let h_dep_entries = hist "release_dep_entries" in
+  let h_delivery_delay = hist "delivery_delay" in
+  let h_output_latency = hist "output_latency" in
+  let observe (d : Recovery.Metrics.distribution) x =
+    match d with
+    | Blocked_time -> Obs.Histogram.observe h_blocked x
+    | Release_dep_entries -> Obs.Histogram.observe h_dep_entries x
+    | Delivery_delay -> Obs.Histogram.observe h_delivery_delay x
+    | Output_latency -> Obs.Histogram.observe h_output_latency x
+    | Wire_vector_size -> ()
+  in
+  let sync () =
+    List.iter
+      (fun { Trace.ev; _ } -> Recovery.Metrics.iter_samples config observe ev)
+      (Trace_codec.sync writer trace)
   in
   let g_recovery_active = Obs.Registry.gauge obs "recovery_active" in
   let g_replay_pending = Obs.Registry.gauge obs "recovery_replay_pending" in
   let g_parts_total = Obs.Registry.gauge obs "recovery_partitions_total" in
   let g_parts_recovered = Obs.Registry.gauge obs "recovery_partitions_recovered" in
   Obs.Registry.on_collect obs (fun () ->
-      let m = Node.metrics !node in
-      List.iter (fun (c, read) -> Obs.Counter.set c (read m)) bridge_counters;
-      List.iter
-        (fun (h, read) ->
-          Obs.Histogram.reset h;
-          List.iter (Obs.Histogram.observe h) (Sim.Summary.samples (read m)))
-        bridge_hists;
+      let m = Node.metrics node in
+      List.iter (fun (c, read) -> Obs.Counter.set c (read m)) mirrored;
       Obs.Gauge.set g_recovery_active
-        (if Node.recovery_active !node then 1. else 0.);
-      Obs.Gauge.set g_replay_pending (float_of_int (Node.recovery_pending !node));
-      let parts = Node.partition_count !node in
+        (if Node.recovery_active node then 1. else 0.);
+      Obs.Gauge.set g_replay_pending (float_of_int (Node.recovery_pending node));
+      let parts = Node.partition_count node in
       Obs.Gauge.set g_parts_total (float_of_int parts);
       let recovered = ref 0 in
       for p = 0 to parts - 1 do
-        if Node.partition_recovered !node p then incr recovered
+        if Node.partition_recovered node p then incr recovered
       done;
       Obs.Gauge.set g_parts_recovered (float_of_int !recovered));
 
@@ -250,7 +246,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           (* Data frames carry the current stability frontier along. *)
           Net.Transport.send transport ~dst
             (Wire_codec.encode_data wire
-               ?piggyback:(Node.current_notice !node) m)
+               ?piggyback:(Node.current_notice node) m)
         | Node.Unicast { dst; packet } ->
           Net.Transport.send transport ~dst
             (Wire_codec.encode_packet wire packet)
@@ -320,13 +316,13 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      the application replay into per-partition queues — the daemon starts
      serving requests on recovered partitions while the main loop pumps
      [replay_step] in the background. *)
-  if not (Node.is_up !node) then
-    dispatch (fst (Node.restart_begin !node ~now:(now ())));
+  if not (Node.is_up node) then
+    dispatch (fst (Node.restart_begin node ~now:(now ())));
   (* A joiner introduces itself: the Join broadcast carries its current
      frontier, and every incumbent widens its dependency vector on receipt
      (the driver has already pointed them at our data port via Add_peer). *)
-  if join then dispatch (fst (Node.announce_join !node ~now:(now ())));
-  Trace_codec.sync writer trace;
+  if join then dispatch (fst (Node.announce_join node ~now:(now ())));
+  sync ();
 
   (* Main-loop phase timing, always on: what the retired KOPT_PROF env
      knob printed at exit is now four [phase_seconds] histograms in the
@@ -347,7 +343,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   in
   let finish () =
     stopping := true;
-    Trace_codec.sync writer trace;
+    sync ();
     Trace_codec.close_writer writer;
     let oc = open_out metrics_file in
     output_string oc (Obs.Snapshot.to_text (Obs.Registry.snapshot obs));
@@ -365,17 +361,17 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      for first.  Parked requests sit in the node's receive buffer; the most
      frequently named unrecovered partition is the hottest. *)
   let hot_partition () =
-    let parts = Node.partition_count !node in
+    let parts = Node.partition_count node in
     if parts = 0 then None
     else begin
       let votes = Array.make parts 0 in
       List.iter
         (fun (m : msg Recovery.Wire.app_message) ->
-          match Node.partition_of_payload !node m.Recovery.Wire.payload with
-          | Some p when not (Node.partition_recovered !node p) ->
+          match Node.partition_of_payload node m.Recovery.Wire.payload with
+          | Some p when not (Node.partition_recovered node p) ->
             votes.(p) <- votes.(p) + 1
           | Some _ | None -> ())
-        (Node.receive_buffer_messages !node);
+        (Node.receive_buffer_messages node);
       let best = ref (-1) in
       Array.iteri (fun p c -> if c > 0 && (!best < 0 || c > votes.(!best)) then best := p) votes;
       if !best < 0 then None else Some !best
@@ -394,13 +390,13 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     (* While a replay is in progress the loop must not block on the
        mailbox: an idle wakeup pumps the replay queues instead. *)
     let batch =
-      if Node.recovery_active !node && pending mb = 0 then []
+      if Node.recovery_active node && pending mb = 0 then []
       else take_batch mb
     in
     let acc = ref [] in
     let add actions = if actions <> [] then acc := actions :: !acc in
     let quit_fd = ref None in
-    let step_up f = if Node.is_up !node then add (fst (f !node ~now:(now ()))) in
+    let step_up f = if Node.is_up node then add (fst (f node ~now:(now ()))) in
     let process ev =
       match ev with
       | From_net packet -> step_up (fun nd ~now -> Node.handle_packet nd ~now packet)
@@ -425,29 +421,21 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
             | `Flush -> Node.flush
             | `Checkpoint -> Node.checkpoint
             | `Notice -> Node.broadcast_notice)
-        | Wire_codec.Crash ->
-          (* Soft fail-stop: same recovery path as a SIGKILL + respawn,
-             without losing the OS process. *)
-          Node.halt !node ~now:(now ());
-          Trace_codec.sync writer trace;
-          Thread.delay (Config.real_restart_delay ~time_scale config.Config.timing);
-          node := Node.create ~config ~pid ~app ~store_dir ~obs ~trace;
-          add (fst (Node.restart_begin !node ~now:(now ())))
         | Wire_codec.Status_req ->
-          let m = Node.metrics !node in
+          let m = Node.metrics node in
           reply fd
             (Wire_codec.Status
                {
-                 st_up = Node.is_up !node;
+                 st_up = Node.is_up node;
                  st_pending = pending mb;
-                 st_send_buf = Node.send_buffer_size !node;
-                 st_recv_buf = Node.receive_buffer_size !node;
-                 st_out_buf = Node.output_buffer_size !node;
+                 st_send_buf = Node.send_buffer_size node;
+                 st_recv_buf = Node.receive_buffer_size node;
+                 st_out_buf = Node.output_buffer_size node;
                  st_deliveries = m.Recovery.Metrics.deliveries;
                  st_trace_len = Trace.length trace;
-                 st_current = Node.current !node;
-                 st_recovering = Node.recovery_active !node;
-                 st_replay_pending = Node.recovery_pending !node;
+                 st_current = Node.current node;
+                 st_recovering = Node.recovery_active node;
+                 st_replay_pending = Node.recovery_pending node;
                })
         | Wire_codec.Add_peer { pid = peer_pid; port } ->
           (* Live membership: a joiner's data port.  The transport treats a
@@ -462,11 +450,11 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           quit_fd := Some fd
         | Wire_codec.Arm_brownout { slow; rounds } -> (
           match slow with
-          | None -> Node.arm_storage_disk_full !node ~rounds
-          | Some delay -> Node.arm_storage_slow_fsync !node ~delay ~rounds)
+          | None -> Node.arm_storage_disk_full node ~rounds
+          | Some delay -> Node.arm_storage_slow_fsync node ~delay ~rounds)
         | Wire_codec.Stats_req ->
           (* Live scrape: a full consistent snapshot of the registry (the
-             collect hook above refreshes the bridged node metrics first),
+             collect hook above refreshes the mirrored node counters first),
              serialised as the versioned text exposition. *)
           reply fd
             (Wire_codec.Stats (Obs.Snapshot.to_text (Obs.Registry.snapshot obs)))
@@ -486,7 +474,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
            then replays intervals the merged trace never saw created live.
            [Trace_codec.sync] is O(1) when the event added nothing, so this
            keeps the batch's single eager fsync as the only per-batch cost. *)
-        Trace_codec.sync writer trace;
+        sync ();
         if !quit_fd = None then consume rest
     in
     Obs.Counter.incr c_batches;
@@ -496,13 +484,13 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
        the partition parked client requests are waiting on.  Interleaving
        with the batch processing above is what makes recovery on-demand —
        Gets on recovered partitions are answered between steps. *)
-    if !quit_fd = None && Node.recovery_active !node then begin
+    if !quit_fd = None && Node.recovery_active node then begin
       let prefer = hot_partition () in
       let executed, actions, _cost =
-        Node.replay_step !node ~now:(now ()) ?prefer ~budget:replay_budget ()
+        Node.replay_step node ~now:(now ()) ?prefer ~budget:replay_budget ()
       in
       add actions;
-      Trace_codec.sync writer trace;
+      sync ();
       replay_pace executed
     end;
     (* Eager flush: anything the batch left volatile gets its stability
@@ -513,15 +501,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
        entirely. *)
     if
       !quit_fd = None
-      && Node.is_up !node
-      && (Node.volatile_log_length !node > 0
-         || Node.output_buffer_size !node > 0
-         || Node.send_buffer_size !node > 0)
+      && Node.is_up node
+      && (Node.volatile_log_length node > 0
+         || Node.output_buffer_size node > 0
+         || Node.send_buffer_size node > 0)
     then begin
       Obs.Counter.incr c_eager_flushes;
-      Obs.Span.time sp_flush (fun () -> add (fst (Node.flush !node ~now:(now ()))))
+      Obs.Span.time sp_flush (fun () -> add (fst (Node.flush node ~now:(now ()))))
     end;
-    Obs.Span.time sp_sync (fun () -> Trace_codec.sync writer trace);
+    Obs.Span.time sp_sync sync;
     Obs.Span.time sp_dispatch (fun () -> List.iter dispatch (List.rev !acc));
     match !quit_fd with
     | Some fd ->
@@ -531,20 +519,20 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
          [Crashed] with no lost interval — the oracle treats that as a
          no-op, so a quit daemon is distinguishable in the merged trace
          from a torn SIGKILL without weakening certification. *)
-      if Node.is_up !node then begin
+      if Node.is_up node then begin
         (* Finish any in-progress replay first so the drain leaves a fully
            recovered store (and the merged trace its Recovery_completed). *)
-        if Node.recovery_active !node then begin
+        if Node.recovery_active node then begin
           let _, actions, _ =
-            Node.replay_step !node ~now:(now ()) ~budget:max_int ()
+            Node.replay_step node ~now:(now ()) ~budget:max_int ()
           in
-          Trace_codec.sync writer trace;
+          sync ();
           dispatch actions
         end;
-        let actions = fst (Node.flush !node ~now:(now ())) in
-        Trace_codec.sync writer trace;
+        let actions = fst (Node.flush node ~now:(now ())) in
+        sync ();
         dispatch actions;
-        Node.halt !node ~now:(now ())
+        Node.halt node ~now:(now ())
       end;
       finish ();
       reply fd Wire_codec.Bye

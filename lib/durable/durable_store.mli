@@ -76,9 +76,7 @@ val open_ :
     plus the embedded group-commit coordinator's ({!Group_commit.create}).
     Defaults to a private registry.  All cells are bumped under the
     store's lock; the accessors below read under that same lock, so
-    their values are exact.  Note that get-or-create semantics mean a
-    store reopened into the {e same} registry (a daemon respawning in
-    process) continues the counters of its predecessor. *)
+    their values are exact. *)
 
 val report : ('ckpt, 'log, 'ann) t -> open_report
 
@@ -157,9 +155,6 @@ val flushes : ('ckpt, 'log, 'ann) t -> int
     fsync, so under concurrent flushing this is also the fsync count of
     the flush path (strictly less than the number of callers whenever
     coalescing happened). *)
-
-val commit_stats : ('ckpt, 'log, 'ann) t -> Group_commit.stats
-(** Group-commit coordinator counters: rounds led and callers coalesced. *)
 
 (** {1 Process death and fault injection} *)
 

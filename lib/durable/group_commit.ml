@@ -22,8 +22,6 @@ type t = {
   fsync_seconds : Obs.Histogram.t; (* wall time of each sync () *)
 }
 
-type stats = { rounds : int; coalesced : int }
-
 let create ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   {
@@ -115,7 +113,3 @@ let force t ~pending ~prepare ~sync ?(commit = fun _ -> ()) ~default () =
         fst (attain t.started default ~led:false)
       end
       else default)
-
-let stats t =
-  with_lock t (fun () ->
-      { rounds = Obs.Counter.value t.rounds; coalesced = Obs.Counter.value t.coalesced })

@@ -11,18 +11,13 @@
 
 type t
 
-type stats = {
-  rounds : int;  (** completed rounds — i.e. fsyncs actually issued *)
-  coalesced : int;  (** callers released by a round they did not lead *)
-}
-
 val create : ?obs:Obs.Registry.t -> unit -> t
-(** [obs] is where the coordinator registers its metrics —
-    [flush_rounds_total], [flush_coalesced_total] and the
-    [fsync_seconds] histogram (single-writer: only one leader is ever
-    inside a sync).  Defaults to a private registry, so coordinators
-    that are not wired into a daemon's stats plane keep exact
-    per-instance counts. *)
+(** [obs] is where the coordinator registers its metrics:
+    [flush_rounds_total] (completed rounds, i.e. fsyncs actually issued),
+    [flush_coalesced_total] (callers released by a round they did not
+    lead) and the [fsync_seconds] histogram (single-writer: only one
+    leader is ever inside a sync).  Every cell is bumped under the
+    coordinator's lock.  Defaults to a private registry. *)
 
 val force :
   t ->
@@ -52,11 +47,3 @@ val with_lock : t -> (unit -> 'a) -> 'a
 val exclusive : t -> (unit -> 'a) -> 'a
 (** Run [f] under the lock with no round in flight — for operations that
     must not race an fsync (truncation, compaction, kill, fault arming). *)
-
-val stats : t -> stats
-(** Consistency contract: the underlying cells are bumped by writer
-    threads under the coordinator's own lock, and [stats] reads them
-    under that same lock — so the pair it returns is a consistent
-    point-in-time view even while flush rounds are in flight.  (A raw
-    {!Obs.Registry.snapshot} of the backing registry is weaker: each
-    counter is read atomically but the pair may straddle a round.) *)

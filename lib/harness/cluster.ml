@@ -583,7 +583,6 @@ type stats = {
   flushes : int;
   blocked_time : Sim.Summary.t;
   wire_vector_size : Sim.Summary.t;
-  release_dep_entries : Sim.Summary.t;
   delivery_delay : Sim.Summary.t;
   output_latency : Sim.Summary.t;
   outputs_committed : int;
@@ -606,9 +605,21 @@ type stats = {
 let stats t =
   let ms = t.dead_metrics @ Array.to_list (Array.map Node.metrics t.nodes) in
   let sum f = List.fold_left (fun acc m -> acc + f m) 0 ms in
-  let merge f =
-    List.fold_left (fun acc m -> Sim.Summary.merge acc (f m)) (Sim.Summary.create ()) ms
+  let blocked_time = Sim.Summary.create ()
+  and wire_vector_size = Sim.Summary.create ()
+  and delivery_delay = Sim.Summary.create ()
+  and output_latency = Sim.Summary.create () in
+  let add (d : Recovery.Metrics.distribution) x =
+    match d with
+    | Blocked_time -> Sim.Summary.add blocked_time x
+    | Wire_vector_size -> Sim.Summary.add wire_vector_size x
+    | Delivery_delay -> Sim.Summary.add delivery_delay x
+    | Output_latency -> Sim.Summary.add output_latency x
+    | Release_dep_entries -> ()
   in
+  List.iter
+    (fun { Recovery.Trace.ev; _ } -> Recovery.Metrics.iter_samples t.cfg add ev)
+    (Recovery.Trace.events t.trace_);
   {
     makespan = t.now;
     deliveries = sum (fun m -> m.Recovery.Metrics.deliveries);
@@ -617,11 +628,10 @@ let stats t =
     sync_writes =
       Array.fold_left (fun acc nd -> acc + Node.sync_writes nd) 0 t.nodes;
     flushes = Array.fold_left (fun acc nd -> acc + Node.flushes nd) 0 t.nodes;
-    blocked_time = merge (fun m -> m.Recovery.Metrics.blocked_time);
-    wire_vector_size = merge (fun m -> m.Recovery.Metrics.wire_vector_size);
-    release_dep_entries = merge (fun m -> m.Recovery.Metrics.release_dep_entries);
-    delivery_delay = merge (fun m -> m.Recovery.Metrics.delivery_delay);
-    output_latency = merge (fun m -> m.Recovery.Metrics.output_latency);
+    blocked_time;
+    wire_vector_size;
+    delivery_delay;
+    output_latency;
     outputs_committed = sum (fun m -> m.Recovery.Metrics.outputs_committed);
     orphans_discarded = sum (fun m -> m.Recovery.Metrics.orphans_discarded);
     duplicates_dropped = sum (fun m -> m.Recovery.Metrics.duplicates_dropped);

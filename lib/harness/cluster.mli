@@ -201,8 +201,10 @@ val trace : ('state, 'msg) t -> Recovery.Trace.t
 
 val config : ('state, 'msg) t -> Recovery.Config.t
 
-(** Aggregate run statistics (sums / merges over all nodes plus network
-    accounting). *)
+(** Aggregate run statistics: counter sums over all nodes (including
+    handles discarded by kills), the per-event distributions read from
+    the cluster trace by {!Recovery.Metrics.iter_samples}, and network
+    accounting. *)
 type stats = {
   makespan : float;  (** time of the last processed event *)
   deliveries : int;
@@ -212,7 +214,6 @@ type stats = {
   flushes : int;
   blocked_time : Sim.Summary.t;
   wire_vector_size : Sim.Summary.t;
-  release_dep_entries : Sim.Summary.t;
   delivery_delay : Sim.Summary.t;
   output_latency : Sim.Summary.t;
   outputs_committed : int;

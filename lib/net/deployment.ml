@@ -29,6 +29,7 @@ type t = {
   part_ckpt : float option;  (** [--part-ckpt] period, incremental snapshots *)
   mutable nodes : node array; (* grows on add_node; slots never removed *)
   proxy : Proxy.t option;
+  obs : Obs.Registry.t;  (** driver-side metrics: the proxy's counters *)
   mutable seq : int;  (** outside-world injection sequence numbers *)
   mutable retired_pids : int list;
   mutable alive : bool;
@@ -287,6 +288,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
           ctl = None;
         })
   in
+  let obs = Obs.Registry.create () in
   let proxy =
     match plan with
     | None -> None
@@ -298,7 +300,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
                  (match node.proxy_port with Some p -> p | None -> assert false),
                  node.data_port ))
       in
-      Some (Proxy.start ~routes ~plan ~seed ~time_scale ())
+      Some (Proxy.start ~routes ~plan ~seed ~time_scale ~obs ())
   in
   let t =
     {
@@ -314,6 +316,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
       part_ckpt;
       nodes;
       proxy;
+      obs;
       seq = 0;
       retired_pids = [];
       alive = true;
@@ -399,8 +402,7 @@ let arm_brownout t ~dst ?slow ~rounds () =
 
 let kill t ~dst =
   kill_only t ~dst;
-  (* The detection + reboot outage of the cost model, in wall-clock terms —
-     the same constant a daemon's soft crash sleeps (Config.real_restart_delay). *)
+  (* The detection + reboot outage of the cost model, in wall-clock terms. *)
   Thread.delay (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
   respawn t ~dst
 
@@ -465,9 +467,9 @@ let settle ?(timeout = 30.) t =
 (* A SIGKILLed incarnation never wrote its own [Crashed] event; reconstruct
    it from the successor's [Restarted]: the failure announcement pins the
    crashed incarnation's last stable interval, and the successor's first
-   interval (replay frontier + 1) pins the first lost index.  An in-process
-   crash (the [Crash] control, or a future graceful failure path) does
-   write [Crashed], so we only synthesise when none is pending. *)
+   interval (replay frontier + 1) pins the first lost index.  A graceful
+   exit (Quit or Retire) does write a clean [Crashed] before a later
+   rejoin's [Restarted], so we only synthesise when none is pending. *)
 let synthesize_crashes entries =
   let crashed = Hashtbl.create 8 in
   let count = ref 0 in
@@ -544,58 +546,15 @@ let load_metrics node =
     | Error e -> Error (Fmt.str "pid %d metrics: %s" node.pid e)
   end
 
-(* The flat counters view over a merged snapshot: every counter family,
-   label sets summed away.  (The per-daemon families are unlabelled today;
-   summing keeps the view stable if labels appear.) *)
-let counters_of_snapshot snap =
-  List.fold_left
-    (fun acc ((name, _labels), v) ->
-      match v with
-      | Obs.Snapshot.Counter v ->
-        let cur = try List.assoc name acc with Not_found -> 0 in
-        (name, cur + v) :: List.remove_assoc name acc
-      | Obs.Snapshot.Gauge _ | Obs.Snapshot.Hist _ -> acc)
-    [] (Obs.Snapshot.bindings snap)
-  |> List.sort compare
-
-let contains line sub =
-  let nl = String.length line and ns = String.length sub in
-  let rec at i = i + ns <= nl && (String.sub line i ns = sub || at (i + 1)) in
-  at 0
-
-let count_log_errors t =
-  Array.to_list t.nodes
-  |> List.fold_left
-       (fun acc node ->
-         if not (Sys.file_exists node.log_file) then acc
-         else begin
-           let ic = open_in node.log_file in
-           let rec loop n =
-             match input_line ic with
-             | line ->
-               loop
-                 (if contains line "undecodable" || contains line "inbound frame"
-                  then n + 1
-                  else n)
-             | exception End_of_file -> n
-           in
-           let n = loop 0 in
-           close_in ic;
-           acc + n
-         end)
-       0
-
 type outcome = {
   trace : Trace.t;
   damage : string list;
   synthesized_crashes : int;
   oracle : Harness.Oracle.report;
   obs : Obs.Snapshot.t;
-      (** all daemons' Quit-time registry snapshots, merged: counters
-          summed, histograms bucket-wise summed *)
-  counters : (string * int) list;
-  proxy : Proxy.stats option;
-  transport_drops : int;
+      (** all daemons' Quit-time registry snapshots and the driver's
+          own (the proxy's counters), merged: counters summed,
+          histograms bucket-wise summed *)
   decode_errors : int;
       (** inbound frames the daemons' transports could not decode (summed
           [transport_decode_errors_total] counters) *)
@@ -603,8 +562,6 @@ type outcome = {
       (** outbound frames dropped to queue overflow (summed
           [transport_frames_dropped_total] counters) *)
 }
-
-let counter counters name = try List.assoc name counters with Not_found -> 0
 
 let check_fault_free outcome =
   (* On a run with no proxy and no kills nothing on the wire may be
@@ -711,8 +668,8 @@ let finish t =
              Obs.Snapshot.empty)
     |> Obs.Snapshot.merge_all
   in
+  let obs = Obs.Snapshot.merge obs (Obs.Registry.snapshot t.obs) in
   let damage = damage @ List.rev !metric_damage in
-  let counters = counters_of_snapshot obs in
   (* [n] is the final membership width: joins may have widened the cluster
      past the launch size, and every pid that ever existed must be in
      range for the oracle's per-process tables. *)
@@ -723,11 +680,8 @@ let finish t =
     synthesized_crashes;
     oracle;
     obs;
-    counters;
-    proxy = Option.map Proxy.stats t.proxy;
-    transport_drops = count_log_errors t;
-    decode_errors = counter counters "transport_decode_errors_total";
-    frames_dropped = counter counters "transport_frames_dropped_total";
+    decode_errors = Obs.Snapshot.counter obs "transport_decode_errors_total";
+    frames_dropped = Obs.Snapshot.counter obs "transport_frames_dropped_total";
   }
 
 let destroy t =
@@ -807,26 +761,26 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
   List.iter
     (fun d -> Harness.Report.note report (Fmt.str "K=%d trace damage: %s" k d))
     outcome.damage;
-  (match outcome.proxy with
-  | Some p ->
+  let counter = Obs.Snapshot.counter outcome.obs in
+  if t.proxy <> None then
     Harness.Report.note report
       (Fmt.str
          "K=%d proxy: %d forwarded, %d dropped, %d duplicated, %d delayed, %d severed"
-         k p.Proxy.forwarded p.Proxy.dropped p.Proxy.duplicated p.Proxy.delayed
-         p.Proxy.severed)
-  | None -> ());
+         k (counter "proxy_forwarded_total") (counter "proxy_dropped_total")
+         (counter "proxy_duplicated_total") (counter "proxy_delayed_total")
+         (counter "proxy_severed_total"));
   Harness.Report.add_row report
     [
       string_of_int k;
       string_of_int (List.length kills);
-      string_of_int (counter outcome.counters "deliveries_total");
-      string_of_int (counter outcome.counters "releases_total");
-      string_of_int (counter outcome.counters "restarts_total");
+      string_of_int (counter "deliveries_total");
+      string_of_int (counter "releases_total");
+      string_of_int (counter "restarts_total");
       string_of_int outcome.synthesized_crashes;
-      string_of_int (counter outcome.counters "orphans_discarded_total");
-      string_of_int (counter outcome.counters "duplicates_dropped_total");
-      string_of_int (counter outcome.counters "retransmissions_total");
-      string_of_int (counter outcome.counters "outputs_committed_total");
+      string_of_int (counter "orphans_discarded_total");
+      string_of_int (counter "duplicates_dropped_total");
+      string_of_int (counter "retransmissions_total");
+      string_of_int (counter "outputs_committed_total");
       string_of_int outcome.decode_errors;
       string_of_int outcome.frames_dropped;
       string_of_int o.Harness.Oracle.lost;

@@ -162,17 +162,13 @@ type outcome = {
   synthesized_crashes : int;  (** [Crashed] events reconstructed at merge *)
   oracle : Harness.Oracle.report;
   obs : Obs.Snapshot.t;
-      (** every daemon's Quit-time registry snapshot, merged with
+      (** every daemon's Quit-time registry snapshot plus the driver's
+          own (the fault proxy's [proxy_*_total] counters), merged with
           {!Obs.Snapshot.merge_all}: counters and histogram buckets sum
           across the cluster, so e.g. the fsync-latency histogram here is
           the cluster-wide latency distribution.  A daemon reaped without
           draining contributes an empty snapshot (its metrics file was
           never written) — trace evidence is unaffected. *)
-  counters : (string * int) list;
-      (** flat view over [obs]: every counter family, summed ([_total]
-          names, e.g. ["deliveries_total"]) *)
-  proxy : Proxy.stats option;
-  transport_drops : int;  (** frames daemons reported undecodable (from logs) *)
   decode_errors : int;
       (** summed [transport_decode_errors_total] counters: inbound frames
           whose checksum or payload failed to decode, cluster-wide *)
@@ -180,9 +176,6 @@ type outcome = {
       (** summed [transport_frames_dropped_total] counters: outbound
           frames shed to per-peer queue overflow *)
 }
-
-val counter : (string * int) list -> string -> int
-(** Look up a summed metrics counter ([0] if absent). *)
 
 val check_fault_free : outcome -> unit
 (** Certification tightening for runs with no proxy and no kills: a

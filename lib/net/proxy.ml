@@ -1,11 +1,3 @@
-type stats = {
-  forwarded : int;
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  severed : int;
-}
-
 type route = { dst : int; listen_port : int; target_port : int }
 
 type t = {
@@ -19,7 +11,7 @@ type t = {
   conns : (Unix.file_descr, bool ref) Hashtbl.t; (* fd -> closed? *)
   conns_mutex : Mutex.t;
   counters : Obs.Counter.t array; (* forwarded, dropped, duplicated, delayed, severed *)
-  counters_mutex : Mutex.t; (* serializes relay-thread bumps and [stats] reads *)
+  counters_mutex : Mutex.t; (* serializes bumps from the relay threads *)
   mutable stopping : bool;
 }
 
@@ -302,20 +294,6 @@ let start ~routes ?(plan = Harness.Netmodel.benign) ?(seed = 0)
       ignore (Thread.create (fun () -> accept_loop t route listener) () : Thread.t))
     t.routes listeners;
   t
-
-let stats t =
-  Mutex.lock t.counters_mutex;
-  let s =
-    {
-      forwarded = Obs.Counter.value t.counters.(c_forwarded);
-      dropped = Obs.Counter.value t.counters.(c_dropped);
-      duplicated = Obs.Counter.value t.counters.(c_duplicated);
-      delayed = Obs.Counter.value t.counters.(c_delayed);
-      severed = Obs.Counter.value t.counters.(c_severed);
-    }
-  in
-  Mutex.unlock t.counters_mutex;
-  s
 
 let close t =
   Mutex.lock t.conns_mutex;

@@ -47,10 +47,11 @@ let put_event b ev =
     put_identity b id;
     put_int b dep_size;
     put_float b blocked
-  | Trace.Message_delivered { id; dst; interval } ->
+  | Trace.Message_delivered { id; dst; interval; waited } ->
     put_identity b id;
     put_int b dst;
-    put_entry b interval
+    put_entry b interval;
+    put_float b waited
   | Trace.Message_discarded { id; dst; reason } ->
     put_identity b id;
     put_int b dst;
@@ -129,7 +130,8 @@ let read_event c =
     let id = get_identity c in
     let dst = get_int c in
     let interval = get_entry c in
-    Trace.Message_delivered { id; dst; interval }
+    let waited = get_float c in
+    Trace.Message_delivered { id; dst; interval; waited }
   | 4 ->
     let id = get_identity c in
     let dst = get_int c in
@@ -259,5 +261,9 @@ let append w entries =
 let close_writer w = close_out_noerr w.oc
 
 let sync w trace =
-  if Trace.length trace > w.written then
-    append w (Trace.suffix trace ~from_:w.written)
+  if Trace.length trace > w.written then begin
+    let entries = Trace.suffix trace ~from_:w.written in
+    append w entries;
+    entries
+  end
+  else []

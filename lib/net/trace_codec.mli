@@ -43,6 +43,8 @@ val append : writer -> Recovery.Trace.entry list -> unit
 
 val close_writer : writer -> unit
 
-val sync : writer -> Recovery.Trace.t -> unit
-(** Append every entry of [trace] beyond what this writer already wrote —
-    the daemon calls this after each protocol step. *)
+val sync : writer -> Recovery.Trace.t -> Recovery.Trace.entry list
+(** Append every entry of [trace] beyond what this writer already wrote,
+    and return those entries, oldest first — the daemon calls this after
+    each protocol step and feeds the returned entries to its metric
+    histograms, so each entry is counted exactly once. *)

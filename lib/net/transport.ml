@@ -1,11 +1,3 @@
-type stats = {
-  frames_sent : int;
-  frames_dropped : int;
-  frames_received : int;
-  decode_errors : int;
-  reconnects : int;
-}
-
 type peer = {
   pid : int;
   port : int;
@@ -27,7 +19,7 @@ type t = {
   backoff_cap : float;
   mutable stopping : bool;
   counters : Obs.Counter.t array; (* sent, dropped, received, decode_errors, reconnects *)
-  counters_mutex : Mutex.t; (* serializes writer-thread bumps and [stats] reads *)
+  counters_mutex : Mutex.t; (* serializes bumps from writer and reader threads *)
 }
 
 let c_sent = 0
@@ -336,20 +328,6 @@ let send t ~dst frame =
     Mutex.unlock peer.mutex
 
 let broadcast t frame = List.iter (fun p -> send t ~dst:p.pid frame) t.peers
-
-let stats t =
-  Mutex.lock t.counters_mutex;
-  let s =
-    {
-      frames_sent = Obs.Counter.value t.counters.(c_sent);
-      frames_dropped = Obs.Counter.value t.counters.(c_dropped);
-      frames_received = Obs.Counter.value t.counters.(c_received);
-      decode_errors = Obs.Counter.value t.counters.(c_decode_errors);
-      reconnects = Obs.Counter.value t.counters.(c_reconnects);
-    }
-  in
-  Mutex.unlock t.counters_mutex;
-  s
 
 let close t =
   t.stopping <- true;

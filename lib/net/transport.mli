@@ -21,21 +21,14 @@
     retries are budgeted per connection (the budget resets after a
     successful re-dial) and reconnect cycles are bounded per batch.
     Accounting is exact: every frame accepted by {!send} is eventually
-    counted in [frames_sent] or [frames_dropped], including frames in
-    flight or still queued when {!close} lands.
+    counted in [transport_frames_sent_total] or
+    [transport_frames_dropped_total], including frames in flight or still
+    queued when {!close} lands.
 
     Decode and checksum failures on inbound frames are counted and
     reported through [on_error]; the damaged connection is closed (the
     dialer re-establishes it) — a corrupt frame is never delivered and
     never silently swallowed. *)
-
-type stats = {
-  frames_sent : int;
-  frames_dropped : int;  (** outbound queue overflow *)
-  frames_received : int;
-  decode_errors : int;
-  reconnects : int;  (** dial attempts after the first per peer *)
-}
 
 type t
 
@@ -58,11 +51,17 @@ val create :
     [backoff_base] (default 0.05 s) and doubles to [backoff_cap] (default
     2 s).
 
-    [obs] is the registry where the transport registers its counters
-    ([transport_frames_sent_total], [transport_frames_dropped_total],
-    [transport_frames_received_total], [transport_decode_errors_total],
-    [transport_reconnects_total]); it defaults to a private registry so
-    unwired transports keep exact per-instance counts. *)
+    [obs] is the registry where the transport registers its counters:
+    [transport_frames_sent_total], [transport_frames_dropped_total]
+    (outbound queue overflow, unknown destination, or still queued at
+    {!close}), [transport_frames_received_total],
+    [transport_decode_errors_total] and [transport_reconnects_total]
+    (dial attempts after the first per peer).  It defaults to a private
+    registry.  Every bump is made under the transport's own counters
+    mutex, so no update is lost; a {!Obs.Registry.snapshot} reads each
+    counter atomically, and once the transport is closed and its writers
+    have finished, [frames_sent + frames_dropped] accounts for every
+    frame {!send} accepted. *)
 
 val add_peer : t -> pid:int -> port:int -> unit
 (** Register a peer that joined after {!create} (membership churn): frames
@@ -75,15 +74,6 @@ val send : t -> dst:int -> string -> unit
 
 val broadcast : t -> string -> unit
 (** [send] to every peer. *)
-
-val stats : t -> stats
-(** Consistency contract: the counters are bumped by several writer and
-    reader threads, always under the transport's counters mutex, and
-    [stats] reads all five under that same mutex — so the record is a
-    consistent cut (e.g. [frames_sent + frames_dropped] accounts for
-    every frame {!send} accepted once the transport is closed).  Reading
-    the cells through a raw {!Obs.Registry.snapshot} of [obs] is atomic
-    per counter but may straddle an in-flight batch across counters. *)
 
 val close : t -> unit
 (** Stop accepting, close every socket and wake the writer threads.

@@ -255,7 +255,8 @@ let k_tick_checkpoint = 18
 
 let k_tick_notice = 19
 
-let k_crash = 20
+(* 20 was the soft in-process Crash arm; it is retired, never reused, and
+   decodes as an unknown control kind. *)
 
 let k_status_req = 21
 
@@ -278,10 +279,6 @@ let k_stats = 29
 let hello_kind = k_hello
 
 let app_notice_kind = k_app_notice
-
-let is_packet_kind k = k >= k_app && k <= k_retire
-
-let is_control_kind k = k = k_hello || (k >= k_inject && k <= k_stats)
 
 let packet_kind_code : type msg. msg Wire.packet -> int = function
   | Wire.App _ -> k_app
@@ -510,7 +507,6 @@ type 'msg control =
   | Hello of { pid : int }
   | Inject of { seq : int; payload : 'msg }
   | Tick of [ `Flush | `Checkpoint | `Notice ]
-  | Crash
   | Status_req
   | Status of status
   | Quit
@@ -527,7 +523,6 @@ let control_kind_code : type msg. msg control -> int = function
   | Tick `Flush -> k_tick_flush
   | Tick `Checkpoint -> k_tick_checkpoint
   | Tick `Notice -> k_tick_notice
-  | Crash -> k_crash
   | Status_req -> k_status_req
   | Status _ -> k_status
   | Quit -> k_quit
@@ -545,7 +540,7 @@ let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
   | Inject { seq; payload } ->
     put_int b seq;
     put_string b (wf.App_intf.write payload)
-  | Tick _ | Crash | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
+  | Tick _ | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
   | Stats text -> put_string b text
   | Add_peer { pid; port } ->
     put_int b pid;
@@ -586,7 +581,6 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
         else if kind = k_tick_flush then Tick `Flush
         else if kind = k_tick_checkpoint then Tick `Checkpoint
         else if kind = k_tick_notice then Tick `Notice
-        else if kind = k_crash then Crash
         else if kind = k_status_req then Status_req
         else if kind = k_status then begin
           let st_up = get_bool c in

@@ -127,7 +127,6 @@ type 'msg control =
       (** first frame on every data connection: identifies the dialer *)
   | Inject of { seq : int; payload : 'msg }
   | Tick of [ `Flush | `Checkpoint | `Notice ]
-  | Crash  (** soft fail-stop: lose volatile state, restart in-process *)
   | Status_req
   | Status of status
   | Quit  (** drain: persist trace + metrics files and exit cleanly *)
@@ -167,10 +166,6 @@ val decode_control :
   'msg App_model.App_intf.wire_format ->
   string ->
   ('msg control, string) result
-
-val is_packet_kind : int -> bool
-
-val is_control_kind : int -> bool
 
 (** {1 Primitive readers/writers}
 

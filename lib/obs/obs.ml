@@ -74,13 +74,6 @@ module Histogram = struct
   let sum t = t.sum
   let min_value t = t.minv
   let max_value t = t.maxv
-
-  let reset t =
-    Array.fill t.counts 0 bucket_count 0;
-    t.n <- 0;
-    t.sum <- 0.;
-    t.minv <- nan;
-    t.maxv <- nan
 end
 
 (* ------------------------------------------------------------------ *)

@@ -2,13 +2,19 @@
     latency histograms in a registry, snapshotted into a mergeable value
     with a versioned text exposition format.
 
-    The subsystem replaces the patchwork of per-module [stats] records
-    with one measurement plane: hot paths bump plain [int]/[float]
-    cells (no atomics, no locks of their own), the owning module's
-    existing lock — if it has one — is what makes multi-writer bumps
-    consistent, and a {!Registry.snapshot} turns the live cells into an
-    immutable {!Snapshot.t} that daemons serve over their control
-    socket and drivers merge across processes.
+    This is the live side's one measurement plane: the transport, the
+    fault proxy, the durable store and its group-commit layer, and the
+    daemon's main loop register their cells here and expose no
+    statistics records of their own — a caller that wants a count reads
+    a {!Registry.snapshot}.  Hot paths bump plain [int]/[float] cells (no
+    atomics, no locks of their own), the owning module's existing lock —
+    if it has one — is what makes multi-writer bumps consistent, and a
+    {!Registry.snapshot} turns the live cells into an immutable
+    {!Snapshot.t} that daemons serve over their control socket and
+    drivers merge across processes.  The recovery protocol's per-event
+    samples are not collected here: they are fields of its trace events,
+    and a daemon observes each one into a histogram as it writes the
+    event to its trace file.
 
     {2 Consistency contract}
 
@@ -40,9 +46,9 @@ module Counter : sig
   val add : t -> int -> unit
 
   val set : t -> int -> unit
-  (** [set] exists for bridge code that mirrors an externally-owned
-      counter (e.g. a [Recovery.Metrics] field) into the registry at
-      collect time; hot paths use {!incr}/{!add}. *)
+  (** [set] serves the daemon's counter mirror, which copies the
+      [Recovery.Metrics] counters into the registry from a
+      {!Registry.on_collect} hook; hot paths use {!incr}/{!add}. *)
 end
 
 module Gauge : sig
@@ -77,10 +83,6 @@ module Histogram : sig
 
   val max_value : t -> float
   (** Largest observation, [nan] while empty. *)
-
-  val reset : t -> unit
-  (** Zero every cell.  For bridge code that rebuilds a histogram from
-      an externally-owned sample set at collect time. *)
 end
 
 module Snapshot : sig
@@ -124,7 +126,11 @@ module Snapshot : sig
   (** Pointwise on (name, labels): counters sum exactly, gauges sum,
       histograms add bucket-wise with [sum] summed and [minv]/[maxv]
       taken as min/max.  A key present on one side passes through, so
-      [empty] is the identity; merge is associative and commutative.
+      [empty] is the identity.  Merge is commutative.  It is associative
+      exactly on counters, bucket counts and extremes; gauge values and
+      histogram [sum]s are float additions, so regrouping a merge can
+      move them by a rounding step, and {!equal} (which compares bits)
+      may tell the two groupings apart.
       @raise Invalid_argument when the two sides disagree on a
       sample's kind. *)
 

@@ -162,10 +162,9 @@ val default_time_scale : float
 val real_restart_delay : ?time_scale:float -> timing -> float
 (** Wall-clock seconds a dead process stays down before it is recovered:
     [timing.restart_delay] scaled by [time_scale] (default
-    {!default_time_scale}).  This is the single source of the
-    restart-backoff used by the daemon's soft crash ([koptnode]) and by the
-    multi-process deployment's respawn path ([Net.Deployment]); neither
-    carries its own magic number. *)
+    {!default_time_scale}).  The multi-process deployment's respawn path
+    ([Net.Deployment]) waits this long, so it carries no magic number of
+    its own. *)
 
 val harden : ?retransmit_interval:float -> t -> t
 (** Enable the reliability machinery required on a lossy network:

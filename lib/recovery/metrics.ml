@@ -2,12 +2,8 @@ type t = {
   mutable deliveries : int;
   mutable sends : int;
   mutable releases : int;
-  blocked_time : Sim.Summary.t;
-  release_dep_entries : Sim.Summary.t;
-  wire_vector_size : Sim.Summary.t;
   mutable orphans_discarded : int;
   mutable duplicates_dropped : int;
-  delivery_delay : Sim.Summary.t;
   mutable cancelled_sends : int;
   mutable induced_rollbacks : int;
   mutable restarts : int;
@@ -15,7 +11,6 @@ type t = {
   mutable lost_intervals : int;
   mutable replayed : int;
   mutable outputs_committed : int;
-  output_latency : Sim.Summary.t;
   mutable notices : int;
   mutable notice_entries : int;
   mutable announcements_sent : int;
@@ -26,27 +21,15 @@ type t = {
   mutable part_ckpt_dropped : int;
 }
 
-let copy m =
-  {
-    m with
-    blocked_time = Sim.Summary.copy m.blocked_time;
-    release_dep_entries = Sim.Summary.copy m.release_dep_entries;
-    wire_vector_size = Sim.Summary.copy m.wire_vector_size;
-    delivery_delay = Sim.Summary.copy m.delivery_delay;
-    output_latency = Sim.Summary.copy m.output_latency;
-  }
+let copy m = { m with deliveries = m.deliveries }
 
 let create () =
   {
     deliveries = 0;
     sends = 0;
     releases = 0;
-    blocked_time = Sim.Summary.create ();
-    release_dep_entries = Sim.Summary.create ();
-    wire_vector_size = Sim.Summary.create ();
     orphans_discarded = 0;
     duplicates_dropped = 0;
-    delivery_delay = Sim.Summary.create ();
     cancelled_sends = 0;
     induced_rollbacks = 0;
     restarts = 0;
@@ -54,7 +37,6 @@ let create () =
     lost_intervals = 0;
     replayed = 0;
     outputs_committed = 0;
-    output_latency = Sim.Summary.create ();
     notices = 0;
     notice_entries = 0;
     announcements_sent = 0;
@@ -64,3 +46,21 @@ let create () =
     dep_queries = 0;
     part_ckpt_dropped = 0;
   }
+
+type distribution =
+  | Blocked_time
+  | Release_dep_entries
+  | Wire_vector_size
+  | Delivery_delay
+  | Output_latency
+
+let iter_samples (cfg : Config.t) f (ev : Trace.event) =
+  match ev with
+  | Trace.Message_released { dep_size; blocked; _ } ->
+    f Blocked_time blocked;
+    f Release_dep_entries (float_of_int dep_size);
+    f Wire_vector_size
+      (float_of_int (if cfg.Config.protocol.commit_tracking then dep_size else cfg.Config.n))
+  | Trace.Message_delivered { waited; _ } -> f Delivery_delay waited
+  | Trace.Output_committed { latency; _ } -> f Output_latency latency
+  | _ -> ()

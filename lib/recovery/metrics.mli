@@ -1,26 +1,21 @@
-(** Per-node protocol counters and distributions.
+(** Per-node protocol counters, and the mapping from trace events to the
+    protocol's cost distributions.
 
     Populated by {!Node}; aggregated across a cluster by the harness.  The
     distinctions mirror the paper's two performance axes: failure-free
     overhead (blocked send time, piggyback size, synchronous writes) and
-    recovery efficiency (rollbacks, undone intervals, orphans, replay). *)
+    recovery efficiency (rollbacks, undone intervals, orphans, replay).
+    Per-event samples (send blocking, piggyback size, receive-buffer wait,
+    output-commit latency) are not kept here: each is a field of the
+    {!Trace} event that records the occurrence, and {!iter_samples} reads
+    them back. *)
 
 type t = {
   mutable deliveries : int;  (** application messages delivered (live) *)
   mutable sends : int;  (** logical sends performed by the application *)
   mutable releases : int;  (** messages actually released to the network *)
-  blocked_time : Sim.Summary.t;
-      (** per released message: time spent held in the send buffer *)
-  release_dep_entries : Sim.Summary.t;
-      (** piggybacked dependency entries per released message *)
-  wire_vector_size : Sim.Summary.t;
-      (** on-the-wire vector size: equals the entry count under commit
-          dependency tracking, and N for fixed-size-vector protocols *)
   mutable orphans_discarded : int;
   mutable duplicates_dropped : int;
-  delivery_delay : Sim.Summary.t;
-      (** per delivered message: time spent undeliverable in the receive
-          buffer (the Corollary 1 ablation measures this) *)
   mutable cancelled_sends : int;  (** unreleased sends dropped at rollback *)
   mutable induced_rollbacks : int;  (** rollbacks of non-failed processes *)
   mutable restarts : int;  (** recoveries from actual crashes *)
@@ -28,7 +23,6 @@ type t = {
   mutable lost_intervals : int;  (** intervals irrecoverably lost to crashes *)
   mutable replayed : int;  (** logged deliveries re-executed during recovery *)
   mutable outputs_committed : int;
-  output_latency : Sim.Summary.t;  (** buffer-to-commit delay per output *)
   mutable notices : int;
   mutable notice_entries : int;
   mutable announcements_sent : int;
@@ -47,4 +41,29 @@ type t = {
 val create : unit -> t
 
 val copy : t -> t
-(** An independent record: the counters and a copy of every summary. *)
+(** An independent record with the same counts. *)
+
+(** The per-event cost distributions.  Each released message contributes
+    one sample to each of the first three, each delivery one
+    [Delivery_delay] sample and each committed output one
+    [Output_latency] sample, so a distribution's count equals the
+    matching counter ([releases], [deliveries], [outputs_committed]). *)
+type distribution =
+  | Blocked_time  (** time a released message was held in the send buffer *)
+  | Release_dep_entries  (** piggybacked dependency entries per release *)
+  | Wire_vector_size
+      (** on-the-wire vector size: the entry count under commit dependency
+          tracking, and N for fixed-size-vector protocols *)
+  | Delivery_delay
+      (** time a delivered message spent undeliverable in the receive
+          buffer (the Corollary 1 ablation measures this) *)
+  | Output_latency  (** buffer-to-commit delay per output *)
+
+val iter_samples : Config.t -> (distribution -> float -> unit) -> Trace.event -> unit
+(** [iter_samples cfg f ev] calls [f] once per sample [ev] records: a
+    [Message_released] feeds the first three distributions, a
+    [Message_delivered] its [waited] time, an [Output_committed] its
+    [latency]; every other event feeds none.  [cfg] decides
+    [Wire_vector_size]: fixed-size-vector protocols carry [cfg.n] entries
+    (they admit no joins — {!Config.validate} requires [k = n] without
+    commit tracking — so the width never changes). *)

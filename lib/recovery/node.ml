@@ -394,12 +394,7 @@ let release_send t ~now (ps : 'msg pending_send) =
       payload = ps.ps_payload;
     }
   in
-  let m = t.metrics in
-  m.releases <- m.releases + 1;
-  Sim.Summary.add m.blocked_time (now -. ps.ps_enqueued);
-  Sim.Summary.add_int m.release_dep_entries (List.length dep);
-  Sim.Summary.add_int m.wire_vector_size
-    (if (proto t).commit_tracking then List.length dep else t.n);
+  t.metrics.releases <- t.metrics.releases + 1;
   if (proto t).retransmit_on_failure || t.cfg.Config.timing.retransmit_interval <> None
   then Archive.add t.archive wire;
   trace t ~now
@@ -479,9 +474,7 @@ let commit_output t ~now po =
   Hashtbl.replace t.committed_ids po.po_id ();
   Store.log_announcement t.store (Wire.Committed po.po_id);
   t.outputs_log <- (po.po_text, now) :: t.outputs_log;
-  let m = t.metrics in
-  m.outputs_committed <- m.outputs_committed + 1;
-  Sim.Summary.add m.output_latency (now -. po.po_buffered);
+  t.metrics.outputs_committed <- t.metrics.outputs_committed + 1;
   trace t ~now
     (Output_committed
        { pid = t.pid; id = po.po_id; text = po.po_text; latency = now -. po.po_buffered })
@@ -717,7 +710,7 @@ let start_interval t (m : 'msg Wire.app_message) =
   Hashtbl.replace t.delivered m.id t.current;
   pred
 
-let deliver t ~now (m : 'msg Wire.app_message) =
+let deliver t ~now ~waited (m : 'msg Wire.app_message) =
   let pred = start_interval t m in
   Store.append_volatile t.store
     (Delivery { lg_msg = m; lg_interval = t.current; lg_window = t.recovery <> None });
@@ -726,7 +719,8 @@ let deliver t ~now (m : 'msg Wire.app_message) =
   | None -> ());
   if m.src >= 0 then t.unacked <- (m.src, m.id) :: t.unacked;
   t.metrics.deliveries <- t.metrics.deliveries + 1;
-  trace t ~now (Message_delivered { id = m.id; dst = t.pid; interval = t.current });
+  trace t ~now
+    (Message_delivered { id = m.id; dst = t.pid; interval = t.current; waited });
   mark_part_dirty t m.payload;
   let state', effects = t.app.handle ~pid:t.pid ~n:t.app_n t.state ~src:m.src m.payload in
   t.state <- state';
@@ -785,8 +779,7 @@ let rec drain t ~now =
   | None -> ()
   | Some ((arrived, m) as cell) ->
     t.recv_buf <- List.filter (fun x -> x != cell) t.recv_buf;
-    Sim.Summary.add t.metrics.delivery_delay (now -. arrived);
-    deliver t ~now m;
+    deliver t ~now ~waited:(now -. arrived) m;
     drain t ~now
 
 let recheck t ~now =

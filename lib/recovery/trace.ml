@@ -19,7 +19,12 @@ type event =
       send_interval : Entry.t;
     }
   | Message_released of { id : Wire.identity; dep_size : int; blocked : float }
-  | Message_delivered of { id : Wire.identity; dst : int; interval : Entry.t }
+  | Message_delivered of {
+      id : Wire.identity;
+      dst : int;
+      interval : Entry.t;
+      waited : float;
+    }
   | Message_discarded of { id : Wire.identity; dst : int; reason : discard_reason }
   | Send_cancelled of { id : Wire.identity; src : int }
   | Stability_advanced of { pid : int; upto : Entry.t }
@@ -85,7 +90,7 @@ let pp_event ppf = function
   | Message_released { id; dep_size; blocked } ->
     Fmt.pf ppf "released %a |dep|=%d blocked=%.2f" Wire.pp_identity id dep_size
       blocked
-  | Message_delivered { id; dst; interval } ->
+  | Message_delivered { id; dst; interval; _ } ->
     Fmt.pf ppf "P%d delivers %a starting %a" dst Wire.pp_identity id Entry.pp
       interval
   | Message_discarded { id; dst; reason } ->

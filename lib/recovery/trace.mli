@@ -33,7 +33,16 @@ type event =
       send_interval : Entry.t;
     }  (** logical send (buffered); release may come later *)
   | Message_released of { id : Wire.identity; dep_size : int; blocked : float }
-  | Message_delivered of { id : Wire.identity; dst : int; interval : Entry.t }
+      (** [dep_size]: piggybacked dependency entries; [blocked]: time the
+          message was held in the send buffer *)
+  | Message_delivered of {
+      id : Wire.identity;
+      dst : int;
+      interval : Entry.t;
+      waited : float;
+          (** time the message spent undeliverable in the receive buffer
+              (the Corollary 1 ablation measures this); not printed *)
+    }
   | Message_discarded of { id : Wire.identity; dst : int; reason : discard_reason }
   | Send_cancelled of { id : Wire.identity; src : int }
       (** an unreleased buffered send was dropped (its interval rolled back) *)

@@ -279,7 +279,7 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
     List.iter
       (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
       outcome.Net.Deployment.damage;
-    let delivs = Net.Deployment.counter outcome.Net.Deployment.counters "deliveries_total" in
+    let delivs = Obs.Snapshot.counter outcome.Net.Deployment.obs "deliveries_total" in
     let throughput = float_of_int delivs /. elapsed in
     let ms v = 1000. *. v in
     Harness.Report.add_row report

@@ -19,10 +19,6 @@ let create () =
     max = Float.neg_infinity;
   }
 
-(* The sample list is immutable and the sorted cache is never written
-   after it is built, so a shallow copy is independent. *)
-let copy t = { t with n = t.n }
-
 let add t x =
   t.samples <- x :: t.samples;
   t.sorted <- None;
@@ -32,8 +28,6 @@ let add t x =
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
-
-let add_int t x = add t (float_of_int x)
 
 let count t = t.n
 
@@ -55,8 +49,6 @@ let sorted t =
     Array.sort Float.compare a;
     t.sorted <- Some a;
     a
-
-let samples t = List.rev t.samples
 
 let percentile t p =
   if t.n = 0 then Float.nan

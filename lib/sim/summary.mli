@@ -8,12 +8,7 @@ type t
 
 val create : unit -> t
 
-val copy : t -> t
-(** An independent summary with the same samples. *)
-
 val add : t -> float -> unit
-
-val add_int : t -> int -> unit
 
 val count : t -> int
 
@@ -30,10 +25,6 @@ val min : t -> float
 
 val max : t -> float
 (** [nan] when empty. *)
-
-val samples : t -> float list
-(** Every recorded sample, oldest first — lets bridge code rebuild a
-    different aggregate (e.g. an [Obs] histogram) from the exact data. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0,100\]], nearest-rank on sorted samples;

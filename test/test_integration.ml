@@ -212,6 +212,31 @@ let random_scenario_sound =
       let report = Oracle.check ~k ~n (Cluster.trace c) in
       Oracle.ok report && report.Oracle.max_risk <= k)
 
+(* The per-event distributions come from the trace, the counters from
+   the nodes: every counted release, delivery and committed output must
+   have left exactly one sample, across crashes, restarts and the
+   rollbacks they induce, under every preset. *)
+let gen_crashy_run =
+  QCheck2.Gen.(
+    let* n = int_range 3 6 in
+    let* preset = int_bound (List.length (presets n) - 1) in
+    let* seed = int_bound 10_000 in
+    let* failures = int_range 1 3 in
+    let* calls = int_range 10 30 in
+    return (n, preset, seed, failures, calls))
+
+let stats_samples_match_counters =
+  Util.qtest ~count:25 "stats: one trace sample per counted event" gen_crashy_run
+    (fun (n, preset, seed, failures, calls) ->
+      let config = snd (List.nth (presets n) preset) in
+      let s = Cluster.stats (run_telecom ~config ~seed ~failures ~calls ()) in
+      let count = Sim.Summary.count in
+      s.Cluster.restarts > 0
+      && count s.blocked_time = s.releases
+      && count s.wire_vector_size = s.releases
+      && count s.delivery_delay = s.deliveries
+      && count s.output_latency = s.outputs_committed)
+
 let suite =
   [
     Alcotest.test_case "all presets, failure-free" `Slow test_all_presets_failure_free;
@@ -228,4 +253,5 @@ let suite =
     Alcotest.test_case "output-driven logging end to end" `Slow
       test_output_driven_logging_end_to_end;
     random_scenario_sound;
+    stats_samples_match_counters;
   ]

@@ -7,8 +7,7 @@
 module Deployment = Net.Deployment
 module App = App_model.Kvstore_app
 
-let counter outcome name =
-  try List.assoc name outcome.Deployment.counters with Not_found -> 0
+let counter outcome name = Obs.Snapshot.counter outcome.Deployment.obs name
 
 (* Every test gets its own named temp root and removes it however the test
    exits; [destroy] also reaps any daemon a failing assertion left behind. *)
@@ -47,7 +46,23 @@ let test_cluster_benign () =
                | _ -> false)
              (Recovery.Trace.events outcome.Deployment.trace))
       in
-      Alcotest.(check int) "every daemon quit cleanly" 3 clean_quits)
+      Alcotest.(check int) "every daemon quit cleanly" 3 clean_quits;
+      (* Each daemon observes every trace entry it writes into its
+         histograms once, so the merged counts match the counters. *)
+      List.iter
+        (fun (hist, total) ->
+          let count =
+            match Obs.Snapshot.hist outcome.Deployment.obs hist with
+            | Some h -> Obs.Snapshot.hist_count h
+            | None -> Alcotest.failf "no %s histogram" hist
+          in
+          Alcotest.(check int) (Fmt.str "%s count = %s" hist total) (counter outcome total) count)
+        [
+          ("blocked_time", "releases_total");
+          ("release_dep_entries", "releases_total");
+          ("delivery_delay", "deliveries_total");
+          ("output_latency", "outputs_committed_total");
+        ])
 
 (* SIGKILL one daemon mid-workload; the respawned incarnation must recover
    from its durable store and the merge must synthesize the Crashed event
@@ -89,10 +104,8 @@ let test_cluster_proxy () =
       Alcotest.(check (list string))
         "oracle certifies" []
         outcome.Deployment.oracle.Harness.Oracle.violations;
-      match outcome.Deployment.proxy with
-      | Some p ->
-        Alcotest.(check bool) "proxy relayed" true (p.Net.Proxy.forwarded > 0)
-      | None -> Alcotest.fail "expected proxy stats")
+      Alcotest.(check bool) "proxy relayed" true
+        (counter outcome "proxy_forwarded_total" > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery-window chaos: what happens *during* a fast restart's replay. *)
@@ -296,12 +309,14 @@ let test_shutdown_latency_bounded () =
     port
   in
   let dead_port = reserve_port () in
+  let obs = Obs.Registry.create () in
   let transport =
     Net.Transport.create ~self:0 ~listen_port:(reserve_port ())
       ~peers:[ (1, dead_port) ]
       ~on_frame:(fun ~src:_ ~kind:_ ~body:_ -> ())
-      ~backoff_base:3.0 ~backoff_cap:3.0 ()
+      ~backoff_base:3.0 ~backoff_cap:3.0 ~obs ()
   in
+  let counter name = Obs.Snapshot.counter (Obs.Registry.snapshot obs) name in
   Net.Transport.send transport ~dst:1 "doomed frame";
   (* Let the writer pop the frame, fail the dial, and park in backoff. *)
   Thread.delay 0.3;
@@ -309,8 +324,8 @@ let test_shutdown_latency_bounded () =
   Net.Transport.close transport;
   let deadline = t0 +. 1.0 in
   let rec await_accounting () =
-    let s = Net.Transport.stats transport in
-    if s.Net.Transport.frames_sent + s.Net.Transport.frames_dropped >= 1 then ()
+    if counter "transport_frames_sent_total" + counter "transport_frames_dropped_total" >= 1
+    then ()
     else if Unix.gettimeofday () > deadline then
       Alcotest.fail
         "shutdown latency unbounded: frame still unaccounted 1 s after close \
@@ -327,7 +342,7 @@ let test_shutdown_latency_bounded () =
     true
     (elapsed < 1.0);
   Alcotest.(check int) "frame counted dropped, not lost" 1
-    (Net.Transport.stats transport).Net.Transport.frames_dropped
+    (counter "transport_frames_dropped_total")
 
 let suite =
   [

@@ -116,7 +116,6 @@ let gen_control =
           (fun seq payload -> Wire_codec.Inject { seq; payload })
           small_nat gen_payload );
       (1, map (fun t -> Wire_codec.Tick t) gen_tick);
-      (1, return Wire_codec.Crash);
       (1, return Wire_codec.Status_req);
       (1, map (fun s -> Wire_codec.Status s) gen_status);
       (1, return Wire_codec.Quit);
@@ -158,9 +157,10 @@ let gen_event =
           (fun id dep_size blocked -> Trace.Message_released { id; dep_size; blocked })
           gen_identity (int_bound 8) gen_time );
       ( 2,
-        map3
-          (fun id dst interval -> Trace.Message_delivered { id; dst; interval })
-          gen_identity gen_pid gen_entry );
+        map
+          (fun (id, dst, interval, waited) ->
+            Trace.Message_delivered { id; dst; interval; waited })
+          (tup4 gen_identity gen_pid gen_entry gen_time) );
       ( 1,
         map3
           (fun id dst orphan ->
@@ -232,6 +232,18 @@ let test_trace_roundtrip =
       match Trace_codec.decode_entry (Trace_codec.encode_entry entry) with
       | Ok e -> e = entry
       | Error _ -> false)
+
+(* A well-formed frame whose kind is not in the control table decodes to
+   an [Error], never to a control value: kind 20 (the retired in-process
+   Crash arm, never reused), a packet kind, the trace-file kind and the
+   largest kind byte. *)
+let test_control_unknown_kinds () =
+  List.iter
+    (fun kind ->
+      match Wire_codec.decode_control swf (Wire_codec.frame ~kind "") with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "control kind %d decoded" kind)
+    [ 20; 1; 33; 255 ]
 
 let kv_wire = App_model.Kvstore_app.wire
 
@@ -390,6 +402,8 @@ let suite =
   [
     test_packet_roundtrip;
     test_control_roundtrip;
+    Alcotest.test_case "control: kinds outside the table are errors" `Quick
+      test_control_unknown_kinds;
     test_trace_roundtrip;
     test_kv_roundtrip;
     test_data_frame_roundtrip;

@@ -669,10 +669,17 @@ let test_cost_accounting () =
   Alcotest.(check bool) "sync writes counted" true (cost.Node.sync_writes >= 1)
 
 let test_sy_wire_size_is_n () =
-  let d = D.make (Config.strom_yemini ~timing:quiet_timing ~n:4 ()) counter in
+  let cfg = Config.strom_yemini ~timing:quiet_timing ~n:4 () in
+  let d = D.make cfg counter in
   D.inject d ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 1 });
-  Alcotest.(check (float 0.0)) "fixed size-N vector on the wire" 4.
-    (Sim.Summary.mean (Node.metrics d.node).wire_vector_size)
+  let sizes = ref [] in
+  List.iter
+    (fun { Recovery.Trace.ev; _ } ->
+      Recovery.Metrics.iter_samples cfg
+        (fun dist x -> if dist = Recovery.Metrics.Wire_vector_size then sizes := x :: !sizes)
+        ev)
+    (Recovery.Trace.events d.trace);
+  Alcotest.(check (list (float 0.0))) "fixed size-N vector on the wire" [ 4. ] !sizes
 
 let test_notice_gossip () =
   let base = config () in

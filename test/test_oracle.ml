@@ -39,7 +39,7 @@ let send tr ~time ~mid ~src ~dst ~send_interval =
   Trace.add tr ~time (Trace.Message_sent { id = mid; src; dst; send_interval })
 
 let deliver tr ~time ~mid ~dst ~interval =
-  Trace.add tr ~time (Trace.Message_delivered { id = mid; dst; interval })
+  Trace.add tr ~time (Trace.Message_delivered { id = mid; dst; interval; waited = 0. })
 
 let stable tr ~time ~pid ~upto =
   Trace.add tr ~time (Trace.Stability_advanced { pid; upto })

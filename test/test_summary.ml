@@ -39,7 +39,7 @@ let test_minmax =
 
 let test_percentile_nearest_rank () =
   let s = Sim.Summary.create () in
-  List.iter (Sim.Summary.add_int s) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ];
+  List.iter (Sim.Summary.add s) [ 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10. ];
   Alcotest.(check (float 0.0)) "p50" 5. (Sim.Summary.percentile s 50.);
   Alcotest.(check (float 0.0)) "p10" 1. (Sim.Summary.percentile s 10.);
   Alcotest.(check (float 0.0)) "p100" 10. (Sim.Summary.percentile s 100.);
