@@ -364,8 +364,8 @@ let run_b11 rows =
     [ 0; 1; n ]
 
 (* B12: the same loopback cluster, driven open-loop (no pacing sleeps) —
-   measures the batched hot path end to end: group-commit fsyncs, coalesced
-   wire writes, per-batch eager flushes and piggybacked notices.  Reports
+   measures the batched hot path end to end: one fsync per daemon batch
+   (the eager flush), coalesced wire writes and piggybacked notices.  Reports
    delivered-message throughput plus output-commit p50/p99 from the merged
    trace (every 8th injection is a Get, whose reply is a 0-optimistic
    output). *)

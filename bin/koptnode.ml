@@ -14,8 +14,10 @@
    wire (so the persisted trace is always ahead of what peers have seen —
    strictly stronger than the old per-event sync-after-dispatch), and if
    the batch left gated sends or uncommitted outputs behind, a flush is run
-   immediately instead of waiting for the flush timer (the group-commit
-   layer in the durable store coalesces the resulting fsyncs).  Outgoing
+   immediately instead of waiting for the flush timer: the batch's records
+   reach the disk in one fsync, the paper's single stable-storage
+   operation for several messages.  The main loop is also the store's
+   only owner, so the store takes no locks.  Outgoing
    application frames piggyback the node's current logging-progress notice
    (frame kind 9), so stability news travels at data-traffic speed; the
    notice timer remains the fallback for idle periods.  A SIGKILL loses at
@@ -162,13 +164,16 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     | Some i -> Some i
   in
   let now () = (Unix.gettimeofday () -. epoch) /. time_scale in
+  (* The in-memory trace holds only entries not yet written: each
+     [Trace_codec.sync] moves them to the trace file and drops them. *)
   let trace = Trace.create () in
   let writer = Trace_codec.open_writer trace_file in
   let mb = mailbox () in
-  (* One registry for the whole process: the store (and its group-commit
-     layer), the transport, the main loop's phase spans, the counter
-     mirror and the trace-fed histograms below all land in it, so a single
-     Stats scrape — or the Quit-time metrics file — is the full picture. *)
+  (* One registry for the whole process: the store (flush counters and
+     its fsync histogram), the transport, the main loop's phase spans, the
+     counter mirror and the trace-fed histograms below all land in it, so
+     a single Stats scrape — or the Quit-time metrics file — is the full
+     picture. *)
   let obs = Obs.Registry.create () in
   let node = Node.create ~config ~pid ~app ~store_dir ~obs ~trace in
   let mirrored =
@@ -448,10 +453,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
              broadcast goes on the wire before the drain closes shop. *)
           step_up (fun nd ~now -> Node.retire nd ~now);
           quit_fd := Some fd
-        | Wire_codec.Arm_brownout { slow; rounds } -> (
-          match slow with
-          | None -> Node.arm_storage_disk_full node ~rounds
-          | Some delay -> Node.arm_storage_slow_fsync node ~delay ~rounds)
+        | Wire_codec.Arm_brownout { rounds } ->
+          Node.arm_storage_disk_full node ~rounds
         | Wire_codec.Stats_req ->
           (* Live scrape: a full consistent snapshot of the registry (the
              collect hook above refreshes the mirrored node counters first),
@@ -496,8 +499,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     (* Eager flush: anything the batch left volatile gets its stability
        point now instead of at the next flush-timer tick — gated sends
        release, outputs commit, and fresh deliveries are acknowledged
-       before the senders' retransmission timers re-send them.  The group
-       commit layer makes the per-batch fsync cheap; idle batches skip it
+       before the senders' retransmission timers re-send them.  All the
+       batch's deliveries share this one fsync; idle batches skip it
        entirely. *)
     if
       !quit_fd = None

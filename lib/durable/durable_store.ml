@@ -67,14 +67,11 @@ type ('ckpt, 'log, 'ann) t = {
   mutable inc : int;
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
-  mutable sync_fd : Unix.file_descr; (* sync.dat, appended under the lock *)
+  fsync_seconds : Obs.Histogram.t; (* wall time of each flush's log fsync *)
+  mutable sync_fd : Unix.file_descr; (* sync.dat, append-only *)
   mutable disk_full : int; (* flush rounds still refused (ENOSPC brownout) *)
-  mutable slow_fsync : (float * int) option; (* extra seconds, rounds left *)
-  mutable round_slow : float; (* slow-down of the round in flight *)
   degraded_flushes : Obs.Counter.t;
-  slowed_fsyncs : Obs.Counter.t;
   mutable alive : bool;
-  gc : Group_commit.t; (* flush coalescing; its lock guards all state *)
   report : open_report;
 }
 
@@ -255,15 +252,12 @@ let open_ ~dir ?segment_bytes ?obs () =
       anns = !anns;
       inc = !inc;
       disk_full = 0;
-      slow_fsync = None;
-      round_slow = 0.;
       degraded_flushes = Obs.Registry.counter obs "storage_degraded_flushes_total";
-      slowed_fsyncs = Obs.Registry.counter obs "storage_slowed_fsyncs_total";
       sync_writes = Obs.Registry.counter obs "storage_sync_writes_total";
       flushes = Obs.Registry.counter obs "storage_flushes_total";
+      fsync_seconds = Obs.Registry.histogram obs "fsync_seconds";
       sync_fd;
       alive = true;
-      gc = Group_commit.create ~obs ();
       report;
     }
   in
@@ -271,111 +265,75 @@ let open_ ~dir ?segment_bytes ?obs () =
 
 let report t = t.report
 
-let dir t = t.root
-
 (* --- the Stable_store contract ------------------------------------- *)
 
-(* Thread safety: every public operation runs under the group-commit
-   coordinator's lock.  Plain reads and appends take it directly
-   ([with_lock]); operations that rewrite files or close descriptors
-   ([exclusive]) additionally wait out any fsync in flight.  [flush] goes
-   through {!Group_commit.force} so concurrent flushes coalesce. *)
-
-let with_lock t f = Group_commit.with_lock t.gc (fun () -> f ())
-
-let exclusive t f = Group_commit.exclusive t.gc (fun () -> f ())
+(* A store has one owner: every operation runs to completion on the
+   calling thread, like the in-memory [Stable_store.Mem]. *)
 
 let append_volatile t r =
-  with_lock t (fun () ->
-      guard t;
-      Queue.add r t.volatile)
+  guard t;
+  Queue.add r t.volatile
 
 (* The flush path has exactly one durability point: the segment log's
    fsync.  The stable-length witness — which lets a reopen detect a log
    tail that fsync claimed but did not persist — is recorded in the
    synchronous area as a {e buffered} write ([sync_put ~fsync:false]),
-   after the fsync returns and under the lock, valued at what that fsync
-   covered.  Buffered is enough: a process kill never drops written bytes
-   (only power loss can, and that also drops the log tail the witness
-   would have accused, so the witness can only ever under-claim — it
-   never fabricates damage).  Crucially it does {e not} ride the log's
-   fsync, so a lying log fsync still leaves a truthful witness behind. *)
+   after the fsync returns, valued at what that fsync covered.  Buffered
+   is enough: a process kill never drops written bytes (only power loss
+   can, and that also drops the log tail the witness would have accused,
+   so the witness can only ever under-claim — it never fabricates damage).
+   Crucially it does {e not} ride the log's fsync, so a lying log fsync
+   still leaves a truthful witness behind. *)
+let flush_forced t =
+  guard t;
+  let n = Queue.length t.volatile in
+  if n = 0 then 0
+  else begin
+    Queue.iter
+      (fun r ->
+        ignore (Segment_log.append t.log (to_bin r) : int);
+        t.stable_log <- r :: t.stable_log)
+      t.volatile;
+    Queue.clear t.volatile;
+    t.stable_len <- t.stable_len + n;
+    let began = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Histogram.observe t.fsync_seconds (Unix.gettimeofday () -. began))
+      (fun () -> Segment_log.sync t.log);
+    sync_put ~fsync:false t ~kind:k_len (to_bin t.stable_len);
+    Obs.Counter.incr t.flushes;
+    Obs.Counter.incr t.sync_writes;
+    n
+  end
+
 (* Brownout degradation.  A disk-full window makes [flush] {e refuse} —
    nothing is drained, the volatile queue is retained intact and the
    refusal is counted — so the caller's records stay volatile and the
    K-rule keeps the node's sends gated: the protocol degrades to blocking
    at the K boundary instead of ever claiming stability the disk did not
    provide, and the first flush after the window drains everything in one
-   synchronous round.  A slow-fsync window stretches each fsync, which the
-   group-commit coordinator absorbs by coalescing more callers per round
-   (its stats report the shed). *)
-(* The group-commit round itself, shared by the refusable and the forced
-   ([flush_forced]) entry points. *)
-let flush_run t =
-  Group_commit.force t.gc
-      ~pending:(fun () ->
-        guard t;
-        not (Queue.is_empty t.volatile))
-      ~prepare:(fun () ->
-        let n = Queue.length t.volatile in
-        Queue.iter
-          (fun r ->
-            ignore (Segment_log.append t.log (to_bin r) : int);
-            t.stable_log <- r :: t.stable_log)
-          t.volatile;
-        Queue.clear t.volatile;
-        t.stable_len <- t.stable_len + n;
-        (* Only one leader is ever between prepare and sync, so a per-round
-           slow-down recorded here (under the lock) can be consumed in
-           [sync] (outside it) without a race. *)
-        (match t.slow_fsync with
-        | Some (delay, rounds) when rounds > 0 ->
-          t.slow_fsync <- (if rounds = 1 then None else Some (delay, rounds - 1));
-          Obs.Counter.incr t.slowed_fsyncs;
-          t.round_slow <- delay
-        | Some _ | None -> t.round_slow <- 0.);
-        (n, t.stable_len))
-      ~sync:(fun () ->
-        Segment_log.sync t.log;
-        let s = t.round_slow in
-        if s > 0. then begin
-          t.round_slow <- 0.;
-          Thread.delay s
-        end)
-      ~commit:(fun (_, len) ->
-        sync_put ~fsync:false t ~kind:k_len (to_bin len);
-        Obs.Counter.incr t.flushes;
-        Obs.Counter.incr t.sync_writes)
-      ~default:(0, 0) ()
-  |> fst
-
+   synchronous round.  [flush_forced] (checkpoints, rollback) models a
+   writer that blocks until space frees, so the window never refuses it:
+   a checkpoint taken during a brownout would otherwise capture state
+   whose covering log prefix the refused flush left volatile, and restart
+   would replay records the checkpoint already absorbed. *)
 let flush t =
-  let refused =
-    with_lock t (fun () ->
-        guard t;
-        if t.disk_full > 0 && not (Queue.is_empty t.volatile) then begin
-          t.disk_full <- t.disk_full - 1;
-          Obs.Counter.incr t.degraded_flushes;
-          true
-        end
-        else false)
-  in
-  if refused then 0 else flush_run t
+  guard t;
+  if t.disk_full > 0 && not (Queue.is_empty t.volatile) then begin
+    t.disk_full <- t.disk_full - 1;
+    Obs.Counter.incr t.degraded_flushes;
+    0
+  end
+  else flush_forced t
 
-(* Critical-path flush (checkpoints, rollback): models a writer that
-   blocks until space frees, so an armed disk-full window never refuses
-   it.  Without this, a checkpoint taken during a brownout would capture
-   state whose covering log prefix the refused flush left volatile —
-   restart would then replay records the checkpoint already absorbed. *)
-let flush_forced t = flush_run t
+let stable_log_length t = t.stable_len
 
-let stable_log_length t = with_lock t (fun () -> t.stable_len)
+let volatile_length t = Queue.length t.volatile
 
-let volatile_length t = with_lock t (fun () -> Queue.length t.volatile)
+let volatile_peek t = Queue.peek_opt t.volatile
 
-let volatile_peek t = with_lock t (fun () -> Queue.peek_opt t.volatile)
-
-let log_from t ~pos =
+let stable_log_from t ~pos =
   if pos < t.base || pos > t.stable_len then
     invalid_arg "Stable_store.stable_log_from: position out of range";
   let rec take i acc = function
@@ -384,24 +342,20 @@ let log_from t ~pos =
   in
   take (t.stable_len - 1) [] t.stable_log
 
-let stable_log_from t ~pos = with_lock t (fun () -> log_from t ~pos)
-
 let truncate_stable_log t ~keep =
-  exclusive t (fun () ->
-      guard t;
-      if keep < t.base || keep > t.stable_len then
-        invalid_arg "Stable_store.truncate_stable_log: keep out of range";
-      let removed = log_from t ~pos:keep in
-      let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
-      t.stable_log <- drop (t.stable_len - keep) t.stable_log;
-      t.stable_len <- keep;
-      Segment_log.truncate_after t.log ~keep;
-      sync_put t ~kind:k_len (to_bin keep);
-      Queue.clear t.volatile;
-      removed)
+  guard t;
+  if keep < t.base || keep > t.stable_len then
+    invalid_arg "Stable_store.truncate_stable_log: keep out of range";
+  let removed = stable_log_from t ~pos:keep in
+  let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
+  t.stable_log <- drop (t.stable_len - keep) t.stable_log;
+  t.stable_len <- keep;
+  Segment_log.truncate_after t.log ~keep;
+  sync_put t ~kind:k_len (to_bin keep);
+  Queue.clear t.volatile;
+  removed
 
 let discard_log_prefix t ~before =
-  exclusive t @@ fun () ->
   guard t;
   if before > t.stable_len then
     invalid_arg "Stable_store.discard_log_prefix: position out of range";
@@ -425,45 +379,41 @@ let discard_log_prefix t ~before =
     discarded
   end
 
-let log_base t = with_lock t (fun () -> t.base)
+let log_base t = t.base
 
-let live_log_records t = with_lock t (fun () -> t.stable_len - t.base)
+let live_log_records t = t.stable_len - t.base
 
 let save_checkpoint t c =
   ignore (flush_forced t : int);
-  exclusive t (fun () ->
-      guard t;
-      let seq = t.ckpt_seq in
-      t.ckpt_seq <- seq + 1;
-      let path = ckpt_path t.root seq in
-      let fd =
-        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  let seq = t.ckpt_seq in
+  t.ckpt_seq <- seq + 1;
+  let path = ckpt_path t.root seq in
+  let fd =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let frame = Codec.encode ~kind:k_ckpt (to_bin (t.stable_len, c)) in
+      let len = String.length frame in
+      let rec loop pos =
+        if pos < len then
+          loop (pos + Unix.write_substring fd frame pos (len - pos))
       in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let frame = Codec.encode ~kind:k_ckpt (to_bin (t.stable_len, c)) in
-          let len = String.length frame in
-          let rec loop pos =
-            if pos < len then
-              loop (pos + Unix.write_substring fd frame pos (len - pos))
-          in
-          loop 0;
-          Unix.fsync fd);
-      t.ckpts <- (seq, c) :: t.ckpts;
-      Obs.Counter.incr t.sync_writes)
+      loop 0;
+      Unix.fsync fd);
+  t.ckpts <- (seq, c) :: t.ckpts;
+  Obs.Counter.incr t.sync_writes
 
 let latest_checkpoint t =
-  with_lock t (fun () ->
-      match t.ckpts with [] -> None | (_, c) :: _ -> Some c)
+  match t.ckpts with [] -> None | (_, c) :: _ -> Some c
 
-let checkpoints t = with_lock t (fun () -> List.map snd t.ckpts)
+let checkpoints t = List.map snd t.ckpts
 
 let unlink_ckpts t dropped =
   List.iter (fun (seq, _) -> Unix.unlink (ckpt_path t.root seq)) dropped
 
 let restore_checkpoint t ~satisfying =
-  exclusive t @@ fun () ->
   guard t;
   let rec find newer = function
     | [] -> None
@@ -479,7 +429,6 @@ let restore_checkpoint t ~satisfying =
     Some (snd (List.hd kept))
 
 let prune_checkpoints t ~keep_latest =
-  exclusive t @@ fun () ->
   guard t;
   if keep_latest < 1 then
     invalid_arg "Stable_store.prune_checkpoints: must keep at least one";
@@ -494,7 +443,6 @@ let prune_checkpoints t ~keep_latest =
   List.length dropped
 
 let prune_checkpoints_older_than t ~anchor =
-  exclusive t @@ fun () ->
   guard t;
   let rec split acc = function
     | [] -> None
@@ -509,13 +457,12 @@ let prune_checkpoints_older_than t ~anchor =
     List.length dropped
 
 let log_announcement t a =
-  with_lock t (fun () ->
-      guard t;
-      sync_put t ~kind:k_ann (to_bin a);
-      t.anns <- a :: t.anns;
-      Obs.Counter.incr t.sync_writes)
+  guard t;
+  sync_put t ~kind:k_ann (to_bin a);
+  t.anns <- a :: t.anns;
+  Obs.Counter.incr t.sync_writes
 
-let announcements t = with_lock t (fun () -> List.rev t.anns)
+let announcements t = List.rev t.anns
 
 (* Rewrite the synchronous area keeping only the announcements [keep]
    accepts (plus the store metadata — base, length witness, incarnation —
@@ -523,7 +470,6 @@ let announcements t = with_lock t (fun () -> List.rev t.anns)
    sync.dat, reopen the append descriptor.  A crash before the rename
    leaves the old area intact; after it, the new one. *)
 let compact_sync t ~keep =
-  exclusive t @@ fun () ->
   guard t;
   let kept = List.filter keep (List.rev t.anns) (* oldest first *) in
   let dropped = List.length t.anns - List.length kept in
@@ -560,52 +506,37 @@ let compact_sync t ~keep =
   dropped
 
 let set_incarnation t i =
-  with_lock t (fun () ->
-      guard t;
-      sync_put t ~kind:k_inc (to_bin i);
-      t.inc <- i;
-      Obs.Counter.incr t.sync_writes)
+  guard t;
+  sync_put t ~kind:k_inc (to_bin i);
+  t.inc <- i;
+  Obs.Counter.incr t.sync_writes
 
-let incarnation t = with_lock t (fun () -> t.inc)
+let incarnation t = t.inc
 
 let crash t =
-  with_lock t (fun () ->
-      let lost = Queue.length t.volatile in
-      Queue.clear t.volatile;
-      lost)
+  let lost = Queue.length t.volatile in
+  Queue.clear t.volatile;
+  lost
 
-let sync_writes t = with_lock t (fun () -> Obs.Counter.value t.sync_writes)
+let sync_writes t = Obs.Counter.value t.sync_writes
 
-let flushes t = with_lock t (fun () -> Obs.Counter.value t.flushes)
+let flushes t = Obs.Counter.value t.flushes
 
 let kill t =
-  (* [exclusive] waits out an fsync in flight: descriptors must not close
-     under a leader mid-sync. *)
-  exclusive t (fun () ->
-      if t.alive then begin
-        Queue.clear t.volatile;
-        Segment_log.kill t.log;
-        Unix.close t.sync_fd;
-        t.alive <- false
-      end)
+  if t.alive then begin
+    Queue.clear t.volatile;
+    Segment_log.kill t.log;
+    Unix.close t.sync_fd;
+    t.alive <- false
+  end
 
 let arm_fsync_failure t =
-  exclusive t (fun () ->
-      guard t;
-      Segment_log.arm_fsync_failure t.log)
+  guard t;
+  Segment_log.arm_fsync_failure t.log
 
 let arm_disk_full t ~rounds =
   if rounds < 0 then invalid_arg "Durable_store.arm_disk_full";
-  with_lock t (fun () ->
-      guard t;
-      t.disk_full <- rounds)
+  guard t;
+  t.disk_full <- rounds
 
-let arm_slow_fsync t ~delay ~rounds =
-  if delay < 0. || rounds < 0 then invalid_arg "Durable_store.arm_slow_fsync";
-  with_lock t (fun () ->
-      guard t;
-      t.slow_fsync <- (if rounds = 0 then None else Some (delay, rounds)))
-
-let degraded_flushes t = with_lock t (fun () -> Obs.Counter.value t.degraded_flushes)
-
-let slowed_fsyncs t = with_lock t (fun () -> Obs.Counter.value t.slowed_fsyncs)
+let degraded_flushes t = Obs.Counter.value t.degraded_flushes

@@ -6,9 +6,7 @@
     - the {b message log} is a {!Segment_log} of Marshal-encoded records,
       made durable in batches by [flush].  A flush has exactly {e one}
       durability point — the log's fsync, the paper's single
-      stable-storage operation — and concurrent flushes coalesce through a
-      {!Group_commit} coordinator, so N simultaneous callers cost one
-      fsync, not N;
+      stable-storage operation that writes several messages at once;
     - each {b checkpoint} is its own [ckpt-<seq>.dat] file holding one
       checksummed record: the pair (stable length at save time, snapshot);
       the length lets open-time recovery reject checkpoints that point past
@@ -25,9 +23,8 @@
       never fabricate damage.  Because it does not ride the log's fsync, a
       lying log fsync still leaves a truthful witness behind.
 
-    Every operation is thread-safe: plain reads and appends share the
-    coordinator's lock, and operations that rewrite files or close
-    descriptors additionally wait out any fsync in flight.
+    A store has a single owner: like the in-memory backend it takes no
+    locks, and every operation runs to completion on the calling thread.
 
     Open-time recovery scans everything, truncates torn or corrupt tails,
     drops unusable checkpoints and reports what it found in
@@ -72,11 +69,9 @@ val open_ :
 
     [obs] receives the store's metric families —
     [storage_flushes_total], [storage_sync_writes_total],
-    [storage_degraded_flushes_total], [storage_slowed_fsyncs_total] —
-    plus the embedded group-commit coordinator's ({!Group_commit.create}).
-    Defaults to a private registry.  All cells are bumped under the
-    store's lock; the accessors below read under that same lock, so
-    their values are exact. *)
+    [storage_degraded_flushes_total] and the [fsync_seconds] histogram,
+    which times each flush's log fsync (so its count equals
+    [storage_flushes_total]).  Defaults to a private registry. *)
 
 val report : ('ckpt, 'log, 'ann) t -> open_report
 
@@ -145,16 +140,15 @@ val crash : ('ckpt, 'log, 'ann) t -> int
 
 val sync_writes : ('ckpt, 'log, 'ann) t -> int
 (** Protocol-level synchronous stable-storage operations: one per
-    non-empty flush round, checkpoint, announcement and incarnation write
+    non-empty flush, checkpoint, announcement and incarnation write
     — the quantity the paper's cost model charges for, and what E12/B9
     report.  Store-internal metadata writes (length witness, log base) are
     not counted. *)
 
 val flushes : ('ckpt, 'log, 'ann) t -> int
-(** Non-empty flush rounds completed.  Each round issues exactly one
-    fsync, so under concurrent flushing this is also the fsync count of
-    the flush path (strictly less than the number of callers whenever
-    coalescing happened). *)
+(** Non-empty flushes completed, each with exactly one log fsync: the
+    fsync count of the flush path.  A flush with nothing volatile issues
+    no fsync and is not counted. *)
 
 (** {1 Process death and fault injection} *)
 
@@ -178,15 +172,6 @@ val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
     claiming stability the disk did not provide; the first flush after the
     window drains the backlog in one synchronous round. *)
 
-val arm_slow_fsync : ('ckpt, 'log, 'ann) t -> delay:float -> rounds:int -> unit
-(** Slow-disk brownout: the next [rounds] flush rounds stretch their fsync
-    by [delay] seconds (counted in {!slowed_fsyncs}).  The group-commit
-    coordinator absorbs the slowdown by coalescing more callers per round. *)
-
 val degraded_flushes : ('ckpt, 'log, 'ann) t -> int
 (** Flush attempts refused by a disk-full window — the brownout
     degradation report. *)
-
-val slowed_fsyncs : ('ckpt, 'log, 'ann) t -> int
-
-val dir : ('ckpt, 'log, 'ann) t -> string

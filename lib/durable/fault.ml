@@ -80,7 +80,7 @@ let apply ~dir ~rand fault =
   match fault with
   | Failed_fsync -> "failed fsync (armed on the live store before the kill)"
   | Disk_full -> "disk full (armed on the live store; flushes refuse)"
-  | Slow_fsync -> "slow fsync (armed on the live store; rounds stretched)"
+  | Slow_fsync -> "slow fsync (describe-only: nothing armed)"
   | Torn_final_write -> (
     match
       List.filter (fun p -> size p > 0) (files_matching dir "seg-") |> List.rev

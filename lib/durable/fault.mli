@@ -1,11 +1,14 @@
 (** Storage fault injection.
 
-    Faults model what real disks do to logging systems.  [Failed_fsync],
-    [Disk_full] and [Slow_fsync] are armed on a {e live} store (see
-    {!Durable_store.arm_fsync_failure}, {!Durable_store.arm_disk_full},
-    {!Durable_store.arm_slow_fsync}); the other three mutate the closed
-    files of a killed store, between death and respawn — exactly when a
-    real machine would lose or mangle sectors.
+    Faults model what real disks do to logging systems.  [Failed_fsync]
+    and [Disk_full] are armed on a {e live} store (see
+    {!Durable_store.arm_fsync_failure}, {!Durable_store.arm_disk_full});
+    [Torn_final_write], [Bit_flip] and [Truncated_segment] mutate the
+    closed files of a killed store, between death and respawn — exactly
+    when a real machine would lose or mangle sectors.  [Slow_fsync] is
+    describe-only: no store arms it, so a kill carrying it is a clean
+    kill.  It stays so E12's committed [slow-fsync] row still names a
+    campaign.
 
     Damage is targeted {e structurally}: the injector scans the victim
     file's {!Codec} frames and aims at a record index (tear the final
@@ -26,7 +29,7 @@ type t =
       (** ENOSPC brownout on the live store: flushes refuse (and are
           counted) while the window lasts; nothing is dropped *)
   | Slow_fsync
-      (** slow-disk brownout on the live store: fsync rounds stretched *)
+      (** slow disk: describe-only, nothing arms it (see above) *)
 
 val all : t list
 
@@ -42,5 +45,6 @@ val apply : dir:string -> rand:(int -> int) -> t -> string
     run's seed so campaigns stay reproducible.  Returns a human-readable
     description of the damage done (or why none was possible, e.g. no
     segment had any bytes yet).  The live-store faults ([Failed_fsync],
-    [Disk_full], [Slow_fsync]) are described only — arming happens through
-    {!Durable_store} before the kill. *)
+    [Disk_full]) are described only — arming happens through
+    {!Durable_store} before the kill — and so is [Slow_fsync], which
+    nothing arms. *)

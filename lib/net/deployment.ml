@@ -397,8 +397,8 @@ let add_node t =
   spawn ~join:true t node;
   pid
 
-let arm_brownout t ~dst ?slow ~rounds () =
-  ignore (ctl_send t.nodes.(dst) (Wire_codec.Arm_brownout { slow; rounds }) : bool)
+let arm_brownout t ~dst ~rounds =
+  ignore (ctl_send t.nodes.(dst) (Wire_codec.Arm_brownout { rounds }) : bool)
 
 let kill t ~dst =
   kill_only t ~dst;

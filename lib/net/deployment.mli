@@ -92,7 +92,7 @@ val scrape : t -> dst:int -> (Obs.Snapshot.t, string) result option
     with text {!Obs.Snapshot.of_text} rejects (a format regression worth
     failing on), [None] if it cannot be reached.  The snapshot is a
     consistent cut of the daemon's registry taken by its main loop, so
-    cross-metric invariants (e.g. [flush_rounds_total] at least the
+    cross-metric invariants (e.g. [storage_flushes_total] equal to the
     fsync histogram's count) hold within one scrape. *)
 
 val kill : t -> dst:int -> unit
@@ -137,10 +137,8 @@ val rolling_restart : ?timeout:float -> t -> bool
     to {!settle} between victims so at most one process is down at a time.
     [false] if any settle timed out. *)
 
-val arm_brownout :
-  t -> dst:int -> ?slow:float -> rounds:int -> unit -> unit
-(** Degrade daemon [dst]'s store for its next [rounds] flush rounds: with
-    [slow] each fsync stretches by that many seconds; without it, flushes
+val arm_brownout : t -> dst:int -> rounds:int -> unit
+(** Degrade daemon [dst]'s store: its next [rounds] non-empty flushes
     refuse as if the disk were full (ENOSPC brownout).  Degradation is
     graceful: refused records stay volatile and the K-rule keeps the
     daemon's sends gated, so correctness is never traded for progress. *)

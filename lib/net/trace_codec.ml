@@ -264,6 +264,7 @@ let sync w trace =
   if Trace.length trace > w.written then begin
     let entries = Trace.suffix trace ~from_:w.written in
     append w entries;
+    Trace.forget trace;
     entries
   end
   else []

@@ -45,6 +45,8 @@ val close_writer : writer -> unit
 
 val sync : writer -> Recovery.Trace.t -> Recovery.Trace.entry list
 (** Append every entry of [trace] beyond what this writer already wrote,
-    and return those entries, oldest first — the daemon calls this after
-    each protocol step and feeds the returned entries to its metric
-    histograms, so each entry is counted exactly once. *)
+    then {!Recovery.Trace.forget} them, and return them, oldest first.
+    The trace file is then the only copy, so a long-running daemon's
+    trace memory stays bounded by one protocol step.  The daemon calls
+    this after each protocol step and feeds the returned entries to its
+    metric histograms, so each entry is counted exactly once. *)

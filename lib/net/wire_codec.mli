@@ -136,10 +136,9 @@ type 'msg control =
   | Retire_req
       (** graceful permanent leave: flush, broadcast {!Recovery.Wire.packet.Retire},
           then drain and exit like [Quit] *)
-  | Arm_brownout of { slow : float option; rounds : int }
-      (** degrade the daemon's store for the next [rounds] flush rounds:
-          with [slow = Some d] each fsync is stretched by [d] seconds,
-          with [slow = None] flushes refuse as if the disk were full *)
+  | Arm_brownout of { rounds : int }
+      (** the daemon's next [rounds] non-empty flushes refuse as if the
+          disk were full *)
   | Stats_req
       (** scrape the daemon's live metric registry *)
   | Stats of string

@@ -72,7 +72,6 @@ module Histogram = struct
 
   let count t = t.n
   let sum t = t.sum
-  let min_value t = t.minv
   let max_value t = t.maxv
 end
 

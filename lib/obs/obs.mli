@@ -3,15 +3,14 @@
     with a versioned text exposition format.
 
     This is the live side's one measurement plane: the transport, the
-    fault proxy, the durable store and its group-commit layer, and the
-    daemon's main loop register their cells here and expose no
-    statistics records of their own — a caller that wants a count reads
-    a {!Registry.snapshot}.  Hot paths bump plain [int]/[float] cells (no
-    atomics, no locks of their own), the owning module's existing lock —
-    if it has one — is what makes multi-writer bumps consistent, and a
-    {!Registry.snapshot} turns the live cells into an immutable
-    {!Snapshot.t} that daemons serve over their control socket and
-    drivers merge across processes.  The recovery protocol's per-event
+    fault proxy, the durable store and the daemon's main loop register
+    their cells here and expose no statistics records of their own — a
+    caller that wants a count reads a {!Registry.snapshot}.  Hot paths
+    bump plain [int]/[float] cells (no atomics, no locks of their own),
+    the owning module's existing lock — if it has one — is what makes
+    multi-writer bumps consistent, and a {!Registry.snapshot} turns the
+    live cells into an immutable {!Snapshot.t} that daemons serve over
+    their control socket and drivers merge across processes.  The recovery protocol's per-event
     samples are not collected here: they are fields of its trace events,
     and a daemon observes each one into a histogram as it writes the
     event to its trace file.
@@ -77,9 +76,6 @@ module Histogram : sig
   val observe : t -> float -> unit
   val count : t -> int
   val sum : t -> float
-
-  val min_value : t -> float
-  (** Smallest observation, [nan] while empty. *)
 
   val max_value : t -> float
   (** Largest observation, [nan] while empty. *)

@@ -12,16 +12,6 @@ type cost = {
   checkpoints : int;
 }
 
-let zero_cost = { deliveries = 0; replays = 0; sync_writes = 0; checkpoints = 0 }
-
-let add_cost a b =
-  {
-    deliveries = a.deliveries + b.deliveries;
-    replays = a.replays + b.replays;
-    sync_writes = a.sync_writes + b.sync_writes;
-    checkpoints = a.checkpoints + b.checkpoints;
-  }
-
 (* A buffered, not-yet-released send (Figure 2's Send_buffer entry).  Its
    vector snapshot is mutated in place as stability news arrives. *)
 type 'msg pending_send = {
@@ -2210,12 +2200,7 @@ let arm_storage_fsync_failure t = Store.arm_fsync_failure t.store
 
 let arm_storage_disk_full t ~rounds = Store.arm_disk_full t.store ~rounds
 
-let arm_storage_slow_fsync t ~delay ~rounds =
-  Store.arm_slow_fsync t.store ~delay ~rounds
-
 let storage_degraded_flushes t = Store.degraded_flushes t.store
-
-let storage_slowed_fsyncs t = Store.slowed_fsyncs t.store
 
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
@@ -2279,8 +2264,6 @@ let send_buffer_size t = List.length t.send_buf
 let receive_buffer_size t = List.length t.recv_buf
 
 let receive_buffer_messages t = List.map snd t.recv_buf
-
-let max_announced_inc t j = t.max_ann_inc.(j)
 
 let output_buffer_size t = List.length t.out_buf
 

@@ -65,6 +65,8 @@ let events t = List.rev t.entries
 
 let length t = t.next_seq
 
+let forget t = t.entries <- []
+
 (* Entries are newest-first and seq is dense, so the suffix from [from_]
    is a prefix of the internal list: O(suffix), not O(trace) — what lets
    an incremental trace writer stay cheap on a long-running node. *)

@@ -84,6 +84,10 @@ val events : t -> entry list
 
 val length : t -> int
 
+val forget : t -> unit
+(** Drop every held entry.  {!length} keeps counting and new entries
+    continue the sequence: for a writer that has persisted what it held. *)
+
 val suffix : t -> from_:int -> entry list
 (** Entries with [seq >= from_], in chronological order, in time
     proportional to the suffix length — for incremental writers that have

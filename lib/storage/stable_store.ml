@@ -203,8 +203,6 @@ let is_durable = function Mem _ -> false | Disk _ -> true
 
 let storage_report = function Mem _ -> None | Disk d -> Some (Disk.report d)
 
-let storage_dir = function Mem _ -> None | Disk d -> Some (Disk.dir d)
-
 let append_volatile t r =
   match t with Mem m -> Mem.append_volatile m r | Disk d -> Disk.append_volatile d r
 
@@ -309,16 +307,6 @@ let arm_disk_full t ~rounds =
     m.Mem.disk_full <- rounds
   | Disk d -> Disk.arm_disk_full d ~rounds
 
-let arm_slow_fsync t ~delay ~rounds =
-  match t with
-  | Mem _ ->
-    (* Simulated time has no real fsync to stretch; the disk-full window is
-       the brownout the simulation can express. *)
-    invalid_arg "Stable_store.arm_slow_fsync: in-memory store"
-  | Disk d -> Disk.arm_slow_fsync d ~delay ~rounds
-
 let degraded_flushes = function
   | Mem m -> m.Mem.degraded_flushes
   | Disk d -> Disk.degraded_flushes d
-
-let slowed_fsyncs = function Mem _ -> 0 | Disk d -> Disk.slowed_fsyncs d

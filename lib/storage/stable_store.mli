@@ -74,14 +74,13 @@ val open_durable :
   ('ckpt, 'log, 'ann) t * open_report
 (** Open (or create) a file-backed store rooted at [dir].  [obs] is
     forwarded to {!Durable.Durable_store.open_}: the registry where the
-    backend registers its flush/fsync metric families. *)
+    backend registers its flush/fsync metric families.  Like the in-memory
+    store, a durable store has one owner and takes no locks. *)
 
 val is_durable : ('ckpt, 'log, 'ann) t -> bool
 
 val storage_report : ('ckpt, 'log, 'ann) t -> open_report option
 (** The durable backend's open-time recovery report; [None] in memory. *)
-
-val storage_dir : ('ckpt, 'log, 'ann) t -> string option
 
 val kill : ('ckpt, 'log, 'ann) t -> unit
 (** Process death (durable backend only): un-fsynced bytes are lost, all
@@ -103,16 +102,8 @@ val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
     ({!degraded_flushes}).  {!flush_forced}, checkpoints and rollback are
     exempt (they model writers that block until space frees). *)
 
-val arm_slow_fsync : ('ckpt, 'log, 'ann) t -> delay:float -> rounds:int -> unit
-(** Brownout fault injection (durable backend only): the next [rounds]
-    flush rounds stretch their fsync by [delay] seconds, outside the
-    group-commit lock.  See {!Durable.Durable_store.arm_slow_fsync}. *)
-
 val degraded_flushes : ('ckpt, 'log, 'ann) t -> int
 (** Flushes refused by an armed disk-full window. *)
-
-val slowed_fsyncs : ('ckpt, 'log, 'ann) t -> int
-(** Flush rounds stretched by an armed slow-fsync window (0 in memory). *)
 
 (** {1 Message log} *)
 

@@ -272,44 +272,34 @@ let test_store_failing_fsync_detected () =
       Alcotest.(check bool) "damage reported" true (D.damaged r);
       D.kill s2)
 
-let test_store_group_commit_coalesces () =
-  (* N threads each append a record, meet at a barrier, then all call
-     [flush] at once.  The group-commit layer must serve every caller from
-     a single fsync round: the leader's prepare drains all N records, the
-     rest either wait out that round or find nothing left to do. *)
+let test_store_flush_one_fsync () =
+  (* A store has one owner and no coordinator: a flush drains the whole
+     volatile buffer behind exactly one log fsync, and a flush with
+     nothing volatile issues none. *)
   with_dir (fun dir ->
       let obs = Obs.Registry.create () in
+      let fsyncs () =
+        match Obs.Snapshot.hist (Obs.Registry.snapshot obs) "fsync_seconds" with
+        | Some h -> Obs.Snapshot.hist_count h
+        | None -> 0
+      in
       let s, _ = D.open_ ~dir ~obs () in
       let n = 8 in
-      let mu = Mutex.create () in
-      let cv = Condition.create () in
-      let ready = ref 0 in
-      let barrier () =
-        Mutex.lock mu;
-        incr ready;
-        if !ready = n then Condition.broadcast cv
-        else while !ready < n do Condition.wait cv mu done;
-        Mutex.unlock mu
-      in
-      let worker i =
-        D.append_volatile s (Printf.sprintf "rec-%d" i);
-        barrier ();
-        ignore (D.flush s : int)
-      in
-      let threads = List.init n (Thread.create worker) in
-      List.iter Thread.join threads;
-      Alcotest.(check int) "all records stable" n (D.stable_log_length s);
-      Alcotest.(check int) "no volatile leftovers" 0 (D.volatile_length s);
-      Alcotest.(check int) "N concurrent flushes, one fsync round" 1 (D.flushes s);
-      Alcotest.(check bool) "strictly fewer rounds than callers" true
-        (Obs.Snapshot.counter (Obs.Registry.snapshot obs) "flush_rounds_total" < n);
-      Alcotest.(check (list string)) "every record made it"
-        (List.sort compare (List.init n (Printf.sprintf "rec-%d")))
-        (List.sort compare (D.stable_log_from s ~pos:0));
+      for i = 0 to n - 1 do
+        D.append_volatile s (Printf.sprintf "rec-%d" i)
+      done;
+      Alcotest.(check int) "one flush drains all" n (D.flush s);
+      Alcotest.(check int) "one fsync for the batch" 1 (fsyncs ());
+      Alcotest.(check int) "one flush counted" 1 (D.flushes s);
+      Alcotest.(check int) "empty flush writes nothing" 0 (D.flush s);
+      Alcotest.(check int) "empty flush issues no fsync" 1 (fsyncs ());
+      Alcotest.(check int) "empty flush not counted" 1 (D.flushes s);
       D.kill s;
       let s2, r = open_str dir in
       Alcotest.(check bool) "clean reopen" false (D.damaged r);
-      Alcotest.(check int) "all records recovered" n r.D.recovered_log;
+      Alcotest.(check (list string)) "every record recovered"
+        (List.init n (Printf.sprintf "rec-%d"))
+        (D.stable_log_from s2 ~pos:0);
       D.kill s2)
 
 let test_store_corrupt_checkpoint_dropped () =
@@ -517,8 +507,7 @@ let suite =
       test_store_bit_flip_never_wrong_record;
     Alcotest.test_case "store failing fsync detected" `Quick
       test_store_failing_fsync_detected;
-    Alcotest.test_case "store group commit coalesces concurrent flushes" `Quick
-      test_store_group_commit_coalesces;
+    Alcotest.test_case "store flush costs one fsync" `Quick test_store_flush_one_fsync;
     Alcotest.test_case "store corrupt checkpoint dropped" `Quick
       test_store_corrupt_checkpoint_dropped;
     Alcotest.test_case "store checkpoint past log dropped" `Quick

@@ -258,17 +258,19 @@ let test_stats_plane_live () =
       let live = Obs.Snapshot.merge_all (List.map scrape_ok [ 0; 1; 2 ]) in
       Alcotest.(check bool) "mid-load deliveries scraped" true
         (Obs.Snapshot.counter live "deliveries_total" > 0);
-      Alcotest.(check bool) "flush family present" true
-        (Obs.Snapshot.counter live "flush_rounds_total" > 0);
       Alcotest.(check bool) "transport family present" true
         (Obs.Snapshot.counter live "transport_frames_sent_total" > 0);
       Alcotest.(check bool) "recovery gauge present" true
         (List.exists
            (fun ((name, _), _) -> name = "recovery_active")
            (Obs.Snapshot.bindings live));
+      (* Each store flush is one timed log fsync. *)
+      let flushes = Obs.Snapshot.counter live "storage_flushes_total" in
+      Alcotest.(check bool) "flushes scraped" true (flushes > 0);
       (match Obs.Snapshot.hist live "fsync_seconds" with
       | Some h ->
-        Alcotest.(check bool) "fsyncs timed" true (Obs.Snapshot.hist_count h > 0)
+        Alcotest.(check int) "one fsync per flush" flushes
+          (Obs.Snapshot.hist_count h)
       | None -> Alcotest.fail "fsync_seconds histogram missing");
       Deployment.kill t ~dst:1;
       Deployment.run_workload t ~ops:12 ~seed:5;

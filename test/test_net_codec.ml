@@ -122,10 +122,7 @@ let gen_control =
       (1, return Wire_codec.Bye);
       (1, map2 (fun pid port -> Wire_codec.Add_peer { pid; port }) gen_pid small_nat);
       (1, return Wire_codec.Retire_req);
-      ( 1,
-        map2
-          (fun slow rounds -> Wire_codec.Arm_brownout { slow; rounds })
-          (option gen_time) (int_bound 5) );
+      (1, map (fun rounds -> Wire_codec.Arm_brownout { rounds }) (int_bound 5));
       (1, return Wire_codec.Stats_req);
       (* Stats carries an opaque exposition text; the codec must pass any
          bytes through, newlines and quotes included. *)
@@ -398,6 +395,39 @@ let test_trace_stream_tear =
         = torn
       | Some _ -> true)
 
+(* The daemon's writer loop: after each [sync] the trace holds no
+   entries (the file is the only copy), its length keeps counting, and
+   the file decodes to every entry ever added, in order. *)
+let test_trace_writer_forgets () =
+  let path = Filename.temp_file "test-trace-writer" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let trace = Trace.create () in
+      let w = Trace_codec.open_writer path in
+      let expected = ref [] in
+      for step = 0 to 19 do
+        for i = 0 to step mod 3 do
+          let time = float_of_int step in
+          let ev = Trace.Notice_sent { pid = i; entries = step } in
+          expected := { Trace.time; seq = Trace.length trace; ev } :: !expected;
+          Trace.add trace ~time ev
+        done;
+        let written = Trace_codec.sync w trace in
+        Alcotest.(check int) "sync returns the step's entries" (1 + (step mod 3))
+          (List.length written);
+        Alcotest.(check int) "no entry held" 0 (List.length (Trace.events trace));
+        Alcotest.(check int) "length keeps counting" (List.length !expected)
+          (Trace.length trace)
+      done;
+      Trace_codec.close_writer w;
+      match Trace_codec.load_file path with
+      | Error e -> Alcotest.fail e
+      | Ok load ->
+        Alcotest.(check bool) "no damage" true (load.Trace_codec.damage = None);
+        Alcotest.(check bool) "file holds every entry, in order" true
+          (load.Trace_codec.entries = List.rev !expected))
+
 let suite =
   [
     test_packet_roundtrip;
@@ -411,4 +441,6 @@ let suite =
     test_packet_single_byte_mutation;
     test_kv_payload_mutation;
     test_trace_stream_tear;
+    Alcotest.test_case "trace writer: written entries leave memory" `Quick
+      test_trace_writer_forgets;
   ]
